@@ -30,6 +30,7 @@ from .graph import (
     mask_is_connected,
     mask_neighborhood,
     mask_vertices,
+    proper_nonempty_submasks,
     pseudotree_profile,
 )
 from .matchable import ENUMERATION_LIMIT, has_perfect_matching, matchable_subsets
@@ -114,13 +115,7 @@ def _both_connected_subsets(g: Graph, v1m: int, v2m: int):
     its neighborhood and the complementary pair both induce connected
     subgraphs, with their neighborhoods."""
     adj = g.adj_masks
-    subs = []
-    sub = (v1m - 1) & v1m
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & v1m
-    subs.sort(key=lambda m: (m.bit_count(), m))
-    for s in subs:
+    for s in proper_nonempty_submasks(v1m):
         gam = mask_neighborhood(adj, s)
         rest = (v1m & ~s) | (v2m & ~gam)
         if mask_is_connected(adj, s | gam) and mask_is_connected(adj, rest):

@@ -216,7 +216,8 @@ def parse_graph_json(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if not isinstance(n, int) or isinstance(n, bool):
         raise GraphParseError('expected an object with integer "n"')
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -230,9 +231,9 @@ def parse_graph_json(text: str) -> Graph:
         ):
             raise GraphParseError(f"bad edge entry {item!r}")
         edges.append((item[0], item[1]))
-    if obj["n"] < 1:
+    if n < 1:
         raise GraphParseError("vertex count must be at least 1")
-    return Graph(obj["n"], edges)
+    return Graph(n, edges)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -280,8 +281,10 @@ def mask_component(adj_masks, allowed: int, seed: int) -> int:
     while frontier:
         comp |= frontier
         nxt = 0
-        for v in mask_vertices(frontier):
-            nxt |= adj_masks[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj_masks[low.bit_length()]
+            frontier ^= low
         frontier = nxt & allowed & ~comp
     return comp
 
@@ -303,21 +306,23 @@ def mask_is_connected(adj_masks, mask: int) -> bool:
 
 
 def mask_is_bipartite(adj_masks, mask: int) -> bool:
-    """Two-colorability of the induced subgraph on `mask`."""
-    color = {}
-    for start in mask_vertices(mask):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in mask_vertices(adj_masks[v] & mask):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
+    """Two-colorability of the induced subgraph on `mask`: no breadth-first
+    layer of any component holds an edge (all other edges join adjacent layers)."""
+    while mask:
+        seen = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                reach |= adj_masks[low.bit_length()]
+                rest ^= low
+            reach &= mask
+            if reach & frontier:
+                return False
+            frontier = reach & ~seen
+            seen |= frontier
+        mask &= ~seen
     return True
 
 
@@ -326,6 +331,17 @@ def mask_neighborhood(adj_masks, mask: int) -> int:
     for v in mask_vertices(mask):
         out |= adj_masks[v]
     return out & ~mask
+
+
+def proper_nonempty_submasks(mask: int) -> list[int]:
+    """Proper nonempty submasks of `mask`, sorted by (cardinality, bitmask)."""
+    subs = []
+    sub = (mask - 1) & mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & mask
+    subs.sort(key=lambda m: (m.bit_count(), m))
+    return subs
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +441,6 @@ class BlockDecomposition:
     blocks: tuple[tuple[tuple[int, int], ...], ...]
     cut_vertices: VertexSet
     block_kinds: tuple[BlockKind, ...]
-
-    def block_vertex_sets(self, n: int) -> list[VertexSet]:
-        out = []
-        for block in self.blocks:
-            verts = sorted({v for e in block for v in e})
-            out.append(VertexSet.from_vertices(verts, n))
-        return out
 
 
 def _block_scan(g: Graph):
@@ -562,11 +571,6 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
         (index[u], index[v]) for u, v in g.edges if u in index and v in index
     ]
     return Graph(len(members), edges)
-
-
-def induced_component_count(g: Graph, s: VertexSet) -> int:
-    """Number of connected components of the induced subgraph on s."""
-    return len(mask_components(g.adj_masks, s.mask))
 
 
 def has_odd_cycle_ge5(g: Graph) -> bool:

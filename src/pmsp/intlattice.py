@@ -58,16 +58,23 @@ class IntRowBasis:
             v = [ca * y - cb * x for x, y in zip(row, v)]
 
 
-def affine_rank(points) -> int:
-    """Affine dimension of a point set: -1 for empty, 0 for a single point."""
+def affine_rank(points, stop: int | None = None) -> int:
+    """Affine dimension of a point set: -1 for empty, 0 for a single point.
+
+    With `stop`, elimination ends as soon as the rank reaches it, so the
+    result is min(rank, stop) for any stop >= 0.
+    """
     it = iter(points)
     try:
         base = next(it)
     except StopIteration:
         return -1
     basis = IntRowBasis()
+    if basis.rank == stop:
+        return 0
     for p in it:
-        basis.add([x - y for x, y in zip(p, base)])
+        if basis.add([x - y for x, y in zip(p, base)]) and basis.rank == stop:
+            break
     return basis.rank
 
 

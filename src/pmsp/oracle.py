@@ -24,9 +24,8 @@ from .classify import (
 )
 from .errors import DisconnectedError, TooLargeError, UnsupportedShapeError
 from .graph import Graph, VertexSet, bipartition, is_connected, mask_vertices
-from .intlattice import affine_rank
 from .matchable import MatchableFamily, matchable_subsets
-from .polytope import gorenstein_geometric, inequality_system, lattice_points
+from .polytope import facet_scan, gorenstein_geometric, inequality_system, lattice_points
 
 BRUTE_FORCE_LIMIT = 12
 SULLIVANT_LIMIT = 10
@@ -85,29 +84,19 @@ def sullivant_compressed(g: Graph):
         )
     pts = lattice_points(g)
     system = inequality_system(g, pts)
-    dim = pts.lattice.rank
-    for ineq in system:
-        values = [ineq.value(p) for p in pts.points]
-        active = [p for p, v in zip(pts.points, values) if v == ineq.rhs]
-        if not active or len(active) == len(pts.points):
+    rows = [(ineq.normal, ineq.rhs) for ineq in system]
+    scan = facet_scan(pts.points, pts.lattice.rank, rows, pts.matrix)
+    for ineq, (values, facet) in zip(system, scan):
+        if not facet:
             continue
-        if affine_rank(active) != dim - 1:
-            continue
-        levels = sorted({v - ineq.rhs for v in values})
-        if len(levels) > 2:
-            samples = []
-            for level in levels[:3]:
-                point = next(
-                    p
-                    for p, v in zip(pts.points, values)
-                    if v - ineq.rhs == level
-                )
-                samples.append(list(point))
+        values = values.tolist()
+        distinct = sorted(set(values))
+        if len(distinct) > 2:
             witness = {
                 "source": ineq.source,
-                "levels": levels,
-                "values": sorted(set(values)),
-                "points": samples,
+                "levels": [v - ineq.rhs for v in distinct],
+                "values": distinct,
+                "points": [list(pts.points[values.index(v)]) for v in distinct[:3]],
             }
             return False, witness
     return True, None

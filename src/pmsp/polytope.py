@@ -10,7 +10,8 @@ in exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -28,11 +29,13 @@ from .graph import (
     bipartition,
     cut_vertex_mask,
     is_connected,
+    mask_component,
     mask_components,
     mask_is_bipartite,
     mask_is_connected,
     mask_neighborhood,
     mask_vertices,
+    proper_nonempty_submasks,
 )
 from .intlattice import (
     affine_rank,
@@ -85,22 +88,20 @@ class AffineLattice:
     def contains(self, point) -> bool:
         return self.coordinates(point) is not None
 
-    def to_ambient(self, coords) -> tuple[int, ...]:
-        out = list(self.origin)
-        for c, row in zip(coords, self.basis):
-            if c:
-                for i, x in enumerate(row):
-                    out[i] += c * x
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class PointSet:
-    """Lattice points of a polytope plus the affine lattice they span."""
+    """Indicator vectors of the matchable sets `masks`, as tuples and as the
+    0/1 rows of an int64 `matrix`, plus the affine lattice they span."""
 
     ambient_n: int
     points: tuple[tuple[int, ...], ...]
-    lattice: AffineLattice
+    masks: tuple[int, ...]
+    matrix: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def lattice(self) -> AffineLattice:
+        return AffineLattice.from_points(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -285,53 +286,63 @@ class FacetCheckReport:
 
 def lattice_points(g: Graph) -> PointSet:
     """All lattice points of the polytope: indicators of matchable sets."""
-    family = matchable_subsets(g)
-    n = g.n
-    pts = tuple(
-        tuple(1 if s.mask >> i & 1 else 0 for i in range(n)) for s in family.subsets
-    )
-    return PointSet(n, pts, AffineLattice.from_points(pts))
+    masks = tuple(s.mask for s in matchable_subsets(g).subsets)
+    matrix = np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n) & 1
+    pts = tuple(map(tuple, matrix.tolist()))
+    return PointSet(g.n, pts, masks, matrix)
 
 
 def dimension(g: Graph) -> int:
     """Dimension of the polytope: n minus the number of bipartite components."""
-    bip = 0
-    seen = 0
-    for v in range(1, g.n + 1):
-        bit = 1 << (v - 1)
-        if seen & bit:
-            continue
-        comp = _component_mask(g.adj_masks, bit, g.full_mask)
-        seen |= comp
-        if mask_is_bipartite(g.adj_masks, comp):
-            bip += 1
-    return g.n - bip
+    comps = mask_components(g.adj_masks, g.full_mask)
+    return g.n - sum(mask_is_bipartite(g.adj_masks, c) for c in comps)
 
 
-def _component_mask(adj_masks, start_bit: int, full: int) -> int:
-    comp = start_bit
-    frontier = start_bit
-    while frontier:
-        nxt = 0
-        for v in mask_vertices(frontier):
-            nxt |= adj_masks[v]
-        frontier = nxt & full & ~comp
-        comp |= frontier
-    return comp
+INT64_SAFE = 1 << 62  # bound on |normal|_1 * max|x_i| for int64 row values
+_VALUES_BLOCK = 1 << 14  # row values (rows x points) multiplied out at a time
 
 
-def _indicator(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if mask >> i & 1 else 0 for i in range(n))
+def _point_matrix(points) -> np.ndarray:
+    """Points as the rows of an int64 array, or of Python ints if one overflows."""
+    try:
+        return np.array(points, dtype=np.int64)
+    except OverflowError:
+        return np.array(points, dtype=object)
 
 
-def _proper_nonempty_submasks(mask: int) -> list[int]:
-    subs = []
-    sub = (mask - 1) & mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & mask
-    subs.sort(key=lambda m: (m.bit_count(), m))
-    return subs
+def _row_values(normals, matrix: np.ndarray):
+    """Yield one array of exact values `normal . x` over the rows x of
+    `matrix` per normal: in int64 when no partial sum can reach INT64_SAFE,
+    in Python integers otherwise, a block of normals at a time."""
+    if not normals:
+        return
+    reach = max(sum(map(abs, normal)) for normal in normals)
+    reach *= max(1, int(abs(matrix).max(initial=0)))
+    dtype = np.int64 if reach < INT64_SAFE else object
+    normals = np.array(normals, dtype=dtype)
+    points_t = matrix.astype(dtype, copy=False).T
+    step = max(1, _VALUES_BLOCK // max(1, len(matrix)))
+    for start in range(0, len(normals), step):
+        yield from normals[start : start + step] @ points_t
+
+
+def facet_scan(points, dim: int, rows, matrix: np.ndarray | None = None):
+    """Yield (values, facet) per row (normal, rhs): `normal . p` for every
+    point p, and whether the row's tight points have affine rank dim - 1,
+    dim being the rank of all the points.  Tight on some but not all points,
+    a row cuts their affine hull in a hyperplane, so the rank cannot pass
+    dim - 1 and elimination stops there.  Validity is left to the caller.
+    """
+    if matrix is None:
+        matrix = _point_matrix(points)
+    total = len(points)
+    normals = [normal for normal, _ in rows]
+    for (_, rhs), values in zip(rows, _row_values(normals, matrix)):
+        tight = np.flatnonzero(values == rhs).tolist()
+        facet = 0 < len(tight) < total and affine_rank(
+            [points[i] for i in tight], dim - 1
+        ) == dim - 1
+        yield values, facet
 
 
 def _bipartite_system(g: Graph) -> list[AffineInequality]:
@@ -353,7 +364,7 @@ def _bipartite_system(g: Graph) -> list[AffineInequality]:
         else:
             facet = g.degree(v) >= 2
         rows.append(AffineInequality(normal, 1, facet, f"UpperOne({v})"))
-    for sub in _proper_nonempty_submasks(v1m):
+    for sub in proper_nonempty_submasks(v1m):
         gam = mask_neighborhood(g.adj_masks, sub)
         normal = tuple(
             1 if sub >> i & 1 else (-1 if gam >> i & 1 else 0) for i in range(n)
@@ -373,20 +384,23 @@ def _bipartite_system(g: Graph) -> list[AffineInequality]:
 
 
 def _odd_set_candidates(g: Graph) -> list[int]:
-    """Vertex sets whose induced components are single vertices or odd nonbipartite."""
+    """Vertex sets whose induced components are single vertices or odd nonbipartite.
+
+    One pass in increasing order: a mask qualifies when the component of its
+    lowest vertex and the rest, both smaller masks unless it is connected, do.
+    """
     adj = g.adj_masks
-    out = []
-    for mask in range(1, 1 << g.n):
-        ok = True
-        for comp in mask_components(adj, mask):
-            if comp.bit_count() == 1:
-                continue
-            if comp.bit_count() % 2 == 0 or mask_is_bipartite(adj, comp):
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
+    size = 1 << g.n
+    good = bytearray(size)
+    good[0] = 1
+    for mask in range(1, size):
+        low = mask & -mask
+        comp = mask_component(adj, mask, low)
+        if comp != mask:
+            good[mask] = good[comp] and good[mask ^ comp]
+        elif comp == low or (mask.bit_count() % 2 and not mask_is_bipartite(adj, mask)):
+            good[mask] = 1
+    return [mask for mask in range(1, size) if good[mask]]
 
 
 def _connected_after_internal_deletion(adj_masks, s_mask: int, gam: int) -> bool:
@@ -419,22 +433,16 @@ def _nonbipartite_system(g: Graph, pts: PointSet) -> list[AffineInequality]:
     n = g.n
     adj = g.adj_masks
     full = g.full_mask
-    masks = [sum(1 << i for i, x in enumerate(p) if x) for p in pts.points]
-    rows: list[AffineInequality] = []
-    for v in range(1, n + 1):
-        bit = 1 << (v - 1)
-        lower = tuple(-1 if i == v - 1 else 0 for i in range(n))
-        active = [p for m, p in zip(masks, pts.points) if not m & bit]
-        facet = len(active) < len(pts.points) and affine_rank(active) == n - 1
-        rows.append(AffineInequality(lower, 0, facet, f"NonNeg({v})"))
-    for v in range(1, n + 1):
-        bit = 1 << (v - 1)
-        upper = tuple(1 if i == v - 1 else 0 for i in range(n))
-        active = [p for m, p in zip(masks, pts.points) if m & bit]
-        facet = bool(active) and len(active) < len(pts.points) and affine_rank(
-            active
-        ) == n - 1
-        rows.append(AffineInequality(upper, 1, facet, f"UpperOne({v})"))
+    bounds = [
+        (tuple(sign if i == v - 1 else 0 for i in range(n)), rhs, f"{name}({v})")
+        for sign, rhs, name in ((-1, 0, "NonNeg"), (1, 1, "UpperOne"))
+        for v in range(1, n + 1)
+    ]
+    scan = facet_scan(pts.points, n, [row[:2] for row in bounds], pts.matrix)
+    rows = [
+        AffineInequality(normal, rhs, facet, source)
+        for (normal, rhs, source), (_, facet) in zip(bounds, scan)
+    ]
     memo: dict[int, bool] = {}
     for s_mask in _odd_set_candidates(g):
         comps = mask_components(adj, s_mask)
@@ -492,18 +500,12 @@ def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
 
 def _geometric_facet_flags(points, dim: int, rows) -> list[bool]:
     flags = []
-    for normal, rhs in rows:
-        values = [dot(normal, p) for p in points]
-        if max(values) > rhs:
+    for (normal, rhs), (values, facet) in zip(rows, facet_scan(points, dim, rows)):
+        if values.max() > rhs:
             raise InconsistentFacetsError(
                 f"inequality {normal} <= {rhs} is violated by a lattice point"
             )
-        active = [p for p, v in zip(points, values) if v == rhs]
-        flags.append(
-            bool(active)
-            and len(active) < len(points)
-            and affine_rank(active) == dim - 1
-        )
+        flags.append(facet)
     return flags
 
 
@@ -512,19 +514,11 @@ def verify_facet_flags(g: Graph) -> FacetCheckReport:
     pts = lattice_points(g)
     system = inequality_system(g, pts)
     dim = pts.lattice.rank
+    rows = [(ineq.normal, ineq.rhs) for ineq in system]
     disagreements = []
-    for ineq in system:
-        values = [ineq.value(p) for p in pts.points]
-        valid = max(values) <= ineq.rhs
-        if valid:
-            active = [p for p, v in zip(pts.points, values) if v == ineq.rhs]
-            geometric = (
-                bool(active)
-                and len(active) < len(pts.points)
-                and affine_rank(active) == dim - 1
-            )
-        else:
-            geometric = False
+    for ineq, (values, facet) in zip(system, facet_scan(pts.points, dim, rows, pts.matrix)):
+        valid = bool(values.max() <= ineq.rhs)
+        geometric = valid and facet
         if not valid or geometric != ineq.facet:
             disagreements.append(
                 FacetCheckEntry(ineq.source, ineq.facet, geometric, valid)

@@ -48,6 +48,14 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("n", ["true", "false", "2.0", '"3"'])
+    def test_non_integer_vertex_count(self, capsys, n):
+        text = '{"n": %s, "edges": []}' % n
+        code, out, err = run_cli(capsys, "dim", "--input", text)
+        assert code == 2
+        assert out == ""
+        assert 'integer "n"' in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "dim", "--input", "no/such/file.edges")
         assert code == 2

@@ -73,6 +73,28 @@ class TestAffineRank:
     def test_collinear(self):
         assert affine_rank([(0, 0), (1, 1), (2, 2)]) == 1
 
+    def test_stop_caps_the_rank(self):
+        cube = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        assert [affine_rank(cube, stop) for stop in range(5)] == [0, 1, 2, 3, 3]
+        assert affine_rank([(5, 7)], 0) == 0
+        assert affine_rank([], 2) == -1
+
+    def test_stop_ends_elimination(self):
+        seen = []
+
+        def points():
+            for p in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+                seen.append(p)
+                yield p
+
+        assert affine_rank(points(), 1) == 1
+        assert seen == [(0, 0), (1, 0)]
+
+    @given(small_mat, st.integers(min_value=0, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_stop_is_min_of_rank(self, rows, stop):
+        assert affine_rank(rows, stop) == min(affine_rank(rows), stop)
+
 
 class TestHnf:
     @settings(max_examples=100)

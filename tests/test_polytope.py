@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from pmsp import (
@@ -26,7 +27,17 @@ from pmsp import (
     path_graph,
     verify_facet_flags,
 )
-from pmsp.intlattice import dot
+from pmsp.graph import bipartition, parse_graph
+from pmsp.intlattice import affine_rank, dot
+from pmsp.polytope import (
+    INT64_SAFE,
+    _point_matrix,
+    _row_values,
+    _transport_flagged,
+    facet_scan,
+)
+
+from .conftest import FIXTURES
 
 
 class TestLatticePoints:
@@ -145,6 +156,78 @@ class TestVerifyFacetFlags:
         for g in connected_7[:100]:
             report = verify_facet_flags(g)
             assert report.ok, report.disagreements
+
+
+def _scan_cases(g):
+    """(points, dim, rows, matrix) for the ambient inequality system and for
+    its rows transported to each normalization that applies."""
+    pts = lattice_points(g)
+    system = inequality_system(g, pts)
+    yield pts.points, pts.lattice.rank, [(i.normal, i.rhs) for i in system], pts.matrix
+    if len(pts.points) < 2:
+        return
+    norms = [normalize_lattice(pts, system)]
+    if bipartition(g) is not None:
+        norms.append(bipartite_projection(g, pts, system))
+    for norm in norms:
+        rows, _, _ = _transport_flagged(system, norm.transform)
+        yield norm.points, norm.dim, rows, None
+
+
+def _fixture_graphs():
+    graphs = [parse_graph(f.read_text()) for f in sorted(FIXTURES.glob("*.edges"))]
+    return [g for g in graphs if g.n <= 20]
+
+
+class TestFacetScan:
+    def test_matches_full_elimination(self, connected_7):
+        """The early stop at dim - 1 and the int64 product change no flag:
+        each equals the full affine rank of the tight points, found with
+        Python dot products, compared with dim - 1."""
+        graphs = [g for g in connected_7 if g.n <= 6] + _fixture_graphs()
+        checked = 0
+        for g in graphs:
+            for points, dim, rows, matrix in _scan_cases(g):
+                scan = list(facet_scan(points, dim, rows, matrix))
+                assert len(scan) == len(rows)
+                for (normal, rhs), (values, facet) in zip(rows, scan):
+                    exact = [dot(normal, p) for p in points]
+                    assert values.tolist() == exact
+                    active = [p for p, v in zip(points, exact) if v == rhs]
+                    expected = (
+                        0 < len(active) < len(points)
+                        and affine_rank(active) == dim - 1
+                    )
+                    assert facet == expected, (g.edges, normal, rhs)
+                    checked += 1
+        assert checked > 5000
+
+    def test_point_set_views_agree(self):
+        pts = lattice_points(complete_graph(4))
+        assert pts.matrix.dtype == np.int64
+        assert [tuple(r) for r in pts.matrix.tolist()] == list(pts.points)
+        assert all(
+            p == tuple(m >> i & 1 for i in range(4))
+            for m, p in zip(pts.masks, pts.points)
+        )
+
+    def test_int64_bound_picks_the_product(self):
+        matrix = _point_matrix([(1, 0), (0, 1), (1, 1)])
+        assert matrix.dtype == np.int64
+        fits = list(_row_values([(1, 2), (INT64_SAFE - 1, 0)], matrix))
+        assert [v.dtype for v in fits] == [np.int64, np.int64]
+        assert fits[1].tolist() == [INT64_SAFE - 1, 0, INT64_SAFE - 1]
+        big = list(_row_values([(1, 2), (INT64_SAFE, INT64_SAFE)], matrix))
+        assert [v.dtype for v in big] == [object, object]
+        assert big[0].tolist() == [1, 2, 3]
+        assert big[1].tolist() == [INT64_SAFE, INT64_SAFE, 2 * INT64_SAFE]
+
+    def test_oversized_coordinates_use_python_ints(self):
+        huge = 1 << 70
+        matrix = _point_matrix([(huge, 0), (0, 1)])
+        assert matrix.dtype == object
+        (values,) = _row_values([(3, -1)], matrix)
+        assert values.tolist() == [3 * huge, -1]
 
 
 def _level_multiset(poly) -> Counter:
