@@ -118,13 +118,8 @@ def read_graph(args) -> Graph:
         else:
             text = raw.replace(";", "\n")
     if text.lstrip().startswith("{"):
-        return parse_graph_json(text)
-    return parse_graph(text)
-
-
-def _check_budget(g: Graph, args) -> None:
-    if args.max_n is not None and g.n > args.max_n:
-        raise TooLargeError(f"graph has {g.n} vertices, over the requested cap {args.max_n}")
+        return parse_graph_json(text, args.max_n)
+    return parse_graph(text, args.max_n)
 
 
 def _emit(line: str) -> None:
@@ -316,7 +311,6 @@ def _dispatch(args) -> int:
     if args.verb == "sweep":
         return _run_sweep(args)
     g = read_graph(args)
-    _check_budget(g, args)
     handlers = {
         "points": _run_points,
         "facets": _run_facets,

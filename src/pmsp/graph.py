@@ -16,6 +16,7 @@ from .errors import (
     GraphParseError,
     NotBiconnectedError,
     SelfLoopError,
+    TooLargeError,
 )
 
 
@@ -158,10 +159,16 @@ class Graph:
 # parsing and construction
 
 
-def parse_graph(text: str) -> Graph:
+def _check_cap(n: int, max_n: int | None) -> None:
+    if max_n is not None and n > max_n:
+        raise TooLargeError(f"graph has {n} vertices, over the requested cap {max_n}")
+
+
+def parse_graph(text: str, max_n: int | None = None) -> Graph:
     """Parse an edge-list: one "u v" pair per line, optional leading "n <count>".
 
     '#' starts a comment, blank lines are ignored, duplicate edges collapse.
+    A vertex count over `max_n` raises TooLargeError before the graph is built.
     """
     declared: int | None = None
     edges: list[tuple[int, int]] = []
@@ -197,6 +204,7 @@ def parse_graph(text: str) -> Graph:
                 f"edge label {max_label} exceeds declared vertex count {declared}"
             )
         n = declared
+    _check_cap(n, max_n)
     return Graph(n, edges)
 
 
@@ -210,8 +218,11 @@ def _parse_label(token: str, lineno: int, allow_name: str = "vertex label") -> i
     return value
 
 
-def parse_graph_json(text: str) -> Graph:
-    """Parse {"n": int, "edges": [[u, v], ...]}."""
+def parse_graph_json(text: str, max_n: int | None = None) -> Graph:
+    """Parse {"n": int, "edges": [[u, v], ...]}.
+
+    A vertex count over `max_n` raises TooLargeError before the graph is built.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -233,6 +244,7 @@ def parse_graph_json(text: str) -> Graph:
         edges.append((item[0], item[1]))
     if n < 1:
         raise GraphParseError("vertex count must be at least 1")
+    _check_cap(n, max_n)
     return Graph(n, edges)
 
 

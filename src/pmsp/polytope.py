@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -665,16 +664,68 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     return None
 
 
-_BOX_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_DILATE_BLOCK = 1 << 16  # row values (parents x digits x rows) extended at a time
 
 
-def _box_points(n: int, k: int) -> np.ndarray:
-    key = (n, k)
-    if key not in _BOX_CACHE:
-        _BOX_CACHE[key] = np.array(
-            list(product(range(k + 1), repeat=n)), dtype=np.int64
-        )
-    return _BOX_CACHE[key]
+def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
+    """Ascending codes of the points x of [0, k]^n with normals @ x <= bound.
+
+    The code of x is sum x_i (k+1)^(n-1-i), so numeric order is lex order.
+    Coordinates are fixed one at a time, carrying the row values of each
+    prefix.  A prefix is dropped once some row exceeds its bound even with
+    every later coordinate at its least share, k * min(0, a_i); fixing x_j
+    moves neither the value nor the limit of a row with a_j = 0, so only
+    the other rows are tested.  Children follow their parent in ascending
+    digit order, so each level is in lex order.  Row values are int64 when
+    no bound and no k * |normal|_1 reaches INT64_SAFE, Python ints otherwise.
+    """
+    reach = max([k * sum(map(abs, row)) for row in normals] + list(map(abs, bound)), default=0)
+    dtype = np.int64 if reach < INT64_SAFE else object
+    cols = np.array(normals, dtype=dtype).reshape(-1, n).T
+    m = cols.shape[1]
+    # limits[j]: the most each row may take on a prefix of length j
+    tails = np.zeros((n + 1, m), dtype=dtype)
+    tails[:n] = np.cumsum((k * np.minimum(cols, 0))[::-1], axis=0)[::-1]
+    limits = np.array(bound, dtype=dtype) - tails
+    codes = np.zeros(int((limits[0] >= 0).all()), dtype=np.int64)
+    values = np.zeros((len(codes), m), dtype=dtype)
+    digits = np.arange(k + 1)
+    step = max(1, _DILATE_BLOCK // ((k + 1) * max(1, m)))
+    for j in range(n):
+        last = j == n - 1
+        rows = np.flatnonzero(cols[j])
+        moves = digits[:, None] * cols[j, rows]
+        next_codes, next_values = [codes[:0]], [values[:0]]
+        for start in range(0, len(codes), step):
+            block = values[start : start + step]
+            keep = (block[:, rows][:, None] + moves <= limits[j + 1, rows]).all(axis=2)
+            parent, digit = np.nonzero(keep)
+            next_codes.append(codes[start + parent] * (k + 1) + digit)
+            if not last:
+                next_values.append(block[parent] + digit[:, None] * cols[j])
+        codes = np.concatenate(next_codes)
+        if not last:
+            values = np.concatenate(next_values)
+    return codes
+
+
+def _lattice_codes(
+    codes: np.ndarray, weights: np.ndarray, k: int, lat: AffineLattice
+) -> np.ndarray:
+    """The codes whose points lie in `lat`, found by reducing every point
+    over the Hermite basis in the steps of `lattice_coordinates`.  A value
+    starts at most k + max|origin| and grows at most (1 + max|basis entry|)
+    fold per basis row; past INT64_SAFE the reduction runs in Python ints."""
+    entry = max((abs(x) for row in lat.basis for x in row), default=0)
+    start = k + max(map(abs, lat.origin))
+    dtype = np.int64 if start * (1 + entry) ** lat.rank < INT64_SAFE else object
+    v = (codes[:, None] // weights % (k + 1)).astype(dtype) - np.array(lat.origin, dtype=dtype)
+    for row, p in zip(lat.basis, lat.pivots):
+        q = v[:, p] // row[p]
+        fits = v[:, p] == q * row[p]
+        v = v[fits] - q[fits, None] * np.array(row, dtype=dtype)
+        codes = codes[fits]
+    return codes[(v == 0).all(axis=1)]
 
 
 def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
@@ -684,6 +735,12 @@ def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
     restricts to the lattice spanned by the polytope's own points.  The
     witness, when present, is the lexicographically first indecomposable
     point.
+
+    The dilate's points are enumerated by `_dilate_codes`, so the cost
+    follows the prefixes that survive its pruning, not (k+1)^n.  A point's
+    code is sum x_i (k+1)^(n-1-i); the digits of a sum of k 0/1 points stay
+    at most k, so codes add without carries and a point decomposes exactly
+    when its code is a sum of k point codes.
     """
     if mode not in ("idp", "normality"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -697,28 +754,20 @@ def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
         )
     pts = lattice_points(g)
     system = inequality_system(g, pts)
-    box = _box_points(g.n, k)
-    normals = np.array([ineq.normal for ineq in system], dtype=np.int64)
-    rhs = np.array([k * ineq.rhs for ineq in system], dtype=np.int64)
-    inside = (box @ normals.T <= rhs).all(axis=1)
-    candidates = [tuple(int(x) for x in row) for row in box[inside]]
+    codes = _dilate_codes(
+        [ineq.normal for ineq in system], [k * ineq.rhs for ineq in system], g.n, k
+    )
+    weights = (k + 1) ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
     if mode == "normality":
-        candidates = [z for z in candidates if pts.lattice.contains(z)]
-    singles = list(pts.points)
-    pair_sums = {
-        tuple(a + b for a, b in zip(p, q)): None
-        for i, p in enumerate(singles)
-        for q in singles[i:]
-    }
+        codes = _lattice_codes(codes, weights, k, pts.lattice)
+    singles = pts.matrix @ weights
+    sums = singles
+    for _ in range(k - 1):
+        sums = np.unique(sums[:, None] + singles)
+    at = np.minimum(np.searchsorted(sums, codes), len(sums) - 1)
+    missing = np.flatnonzero(sums[at] != codes)
     witness = None
-    for z in candidates:
-        if k == 2:
-            ok = z in pair_sums
-        else:
-            ok = any(
-                tuple(a - b for a, b in zip(z, p)) in pair_sums for p in singles
-            )
-        if not ok:
-            witness = z
-            break
-    return DilateCheck(k, mode, witness is None, witness, len(candidates))
+    if len(missing):
+        code = int(codes[missing[0]])
+        witness = tuple(code // w % (k + 1) for w in weights.tolist())
+    return DilateCheck(k, mode, witness is None, witness, len(codes))

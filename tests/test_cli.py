@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from pmsp.cli import main
+from pmsp.graph import Graph
 
 from .conftest import FIXTURES
 
@@ -63,6 +64,21 @@ class TestExitCodes:
     def test_budget_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "points", "--input", C4, "--max-n", "3")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "text", ['{"n": 2000000, "edges": []}', "n 2000000\n", "1 2000000\n"]
+    )
+    def test_budget_checked_before_graph_is_built(self, capsys, monkeypatch, tmp_path, text):
+        def refuse(self, n, edges):
+            raise AssertionError(f"Graph({n}, ...) built before the --max-n check")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "dim", "--max-n", "20", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: graph has 2000000 vertices, over the requested cap 20\n"
 
     def test_sweep_budget(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--max-n", "30")

@@ -1,12 +1,16 @@
 """Lattice points, inequality systems, normalization, and dilate checks."""
 
+import random
 from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from pmsp import (
+    CorpusSpec,
     DegeneratePointSetError,
+    DilateCheck,
     DisconnectedError,
     Graph,
     NotAFacetError,
@@ -17,6 +21,7 @@ from pmsp import (
     cycle_graph,
     dimension,
     facet_levels,
+    generate_corpus,
     gorenstein_geometric,
     idp_check,
     inequality_system,
@@ -27,10 +32,13 @@ from pmsp import (
     path_graph,
     verify_facet_flags,
 )
-from pmsp.graph import bipartition, parse_graph
+from pmsp.graph import bipartition, is_connected, parse_graph
 from pmsp.intlattice import affine_rank, dot
 from pmsp.polytope import (
     INT64_SAFE,
+    AffineLattice,
+    _dilate_codes,
+    _lattice_codes,
     _point_matrix,
     _row_values,
     _transport_flagged,
@@ -362,3 +370,134 @@ class TestDilates:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
             idp_check(Graph(4, ((1, 2), (3, 4))), 2)
+
+
+def _box_idp_checks(g: Graph, k: int) -> dict[str, DilateCheck]:
+    """Reference dilate checks in both modes: scan the whole [0, k]^n box in
+    lex order, keep the points of the dilate (and of the point lattice in
+    normality mode), and look each one up among the tuple sums of k points."""
+    pts = lattice_points(g)
+    system = inequality_system(g, pts)
+    dilate = [z for z in product(range(k + 1), repeat=g.n) if membership(system, z, k)]
+    pair_sums = {
+        tuple(a + b for a, b in zip(p, q)) for p in pts.points for q in pts.points
+    }
+
+    def splits(z) -> bool:
+        if k == 2:
+            return z in pair_sums
+        return any(tuple(a - b for a, b in zip(z, p)) in pair_sums for p in pts.points)
+
+    checks = {}
+    for mode in ("idp", "normality"):
+        if mode == "normality":
+            dilate = [z for z in dilate if pts.lattice.contains(z)]
+        witness = next((z for z in dilate if not splits(z)), None)
+        checks[mode] = DilateCheck(k, mode, witness is None, witness, len(dilate))
+    return checks
+
+
+def _seeded_connected(rng: random.Random, n: int, p: float) -> Graph:
+    while True:
+        g = Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
+def _box_codes(normals, bound, n: int, k: int) -> list[int]:
+    """Codes of the box points that satisfy every row, in Python ints."""
+    return [
+        sum(x * (k + 1) ** (n - 1 - i) for i, x in enumerate(z))
+        for z in product(range(k + 1), repeat=n)
+        if all(dot(a, z) <= b for a, b in zip(normals, bound))
+    ]
+
+
+def _rows(g: Graph, k: int):
+    system = inequality_system(g)
+    return [ineq.normal for ineq in system], [k * ineq.rhs for ineq in system]
+
+
+class TestIdpCheckAgainstBoxScan:
+    def _compare(self, graphs, ks) -> int:
+        witnesses = 0
+        for g in graphs:
+            for k in ks:
+                for mode, expected in _box_idp_checks(g, k).items():
+                    check = idp_check(g, k, mode)
+                    assert check == expected, (g.edges, mode, k)
+                    witnesses += check.witness is not None
+        return witnesses
+
+    def test_connected_graphs_up_to_five_vertices(self):
+        """One graph per isomorphism class with n <= 5, and every labeled
+        graph with n <= 4, so witnesses are compared under vertex orders."""
+        graphs = list(generate_corpus(CorpusSpec(max_n=5)))
+        graphs += generate_corpus(CorpusSpec(max_n=4, dedup=False))
+        assert self._compare(graphs, (2, 3)) > 50
+
+    def test_seeded_graphs_seven_to_nine_vertices(self):
+        rng = random.Random(3)
+        witnesses = self._compare([_seeded_connected(rng, 7, 0.35) for _ in range(3)], (2, 3))
+        for n in (8, 8, 9):
+            witnesses += self._compare([_seeded_connected(rng, n, 0.35)], (2,))
+        assert witnesses > 0
+
+
+class TestDilateCodes:
+    def test_strictly_ascending(self):
+        for g in (complete_graph(5), cycle_graph(6), complete_bipartite_graph(2, 4)):
+            for k in (2, 3):
+                codes = _dilate_codes(*_rows(g, k), g.n, k)
+                assert codes.dtype == np.int64
+                assert (np.diff(codes) > 0).all()
+
+    def test_equals_filtered_box_with_negative_coefficients(self):
+        graphs = (
+            complete_graph(5),
+            cycle_graph(5),
+            complete_bipartite_graph(2, 3),
+            Graph(6, ((1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4))),
+        )
+        for g in graphs:
+            for k in (2, 3):
+                normals, bound = _rows(g, k)
+                assert any(min(a) < 0 for a in normals)
+                codes = _dilate_codes(normals, bound, g.n, k)
+                assert codes.tolist() == _box_codes(normals, bound, g.n, k)
+
+    def test_block_boundaries_inside_levels(self, monkeypatch):
+        """K9 has 274 rows, so a default block holds 79 parents at k = 2 and
+        later levels span several blocks; tiny blocks split every level."""
+        g = complete_graph(9)
+        normals, bound = _rows(g, 2)
+        assert len(normals) == 274
+        codes = _dilate_codes(normals, bound, 9, 2)
+        a = np.array(normals)
+        box = np.array(list(product(range(3), repeat=9)))
+        inside = (box @ a.T <= np.array(bound)).all(axis=1)
+        assert codes.tolist() == np.flatnonzero(inside).tolist()
+        normals, bound = _rows(complete_graph(5), 3)
+        expected = _dilate_codes(normals, bound, 5, 3).tolist()
+        for block in (1, 50, 333):
+            monkeypatch.setattr("pmsp.polytope._DILATE_BLOCK", block)
+            assert _dilate_codes(normals, bound, 5, 3).tolist() == expected
+
+    def test_oversized_row_uses_python_ints(self):
+        # 3e = 2^64 + 2 wraps to 2 in int64, and 2e wraps negative
+        e = (2**64 + 2) // 3
+        assert e < 2**63
+        codes = _dilate_codes([(e, 0)], [2], 2, 3)
+        assert codes.tolist() == [0, 1, 2, 3] == _box_codes([(e, 0)], [2], 2, 3)
+        codes = _dilate_codes([(1, -(INT64_SAFE // 2))], [1], 2, 2)
+        assert codes.tolist() == _box_codes([(1, -(INT64_SAFE // 2))], [1], 2, 2)
+
+    def test_oversized_basis_uses_python_ints(self):
+        # (3, 2) - 3 * (1, e) is (0, -2^64), which int64 would wrap to (0, 0)
+        e = (2**64 + 2) // 3
+        lat = AffineLattice(2, (0, 0), ((1, e),), (0,))
+        weights = np.array([4, 1])
+        codes = np.arange(16)
+        inside = _lattice_codes(codes, weights, 3, lat)
+        assert inside.tolist() == [0]
+        assert [c for c in range(16) if lat.contains((c // 4, c % 4))] == [0]
