@@ -2,8 +2,10 @@
 """Run the theorem-versus-oracle agreement sweeps over every family.
 
 Each record compares a structural decider with an independent brute-force
-oracle on one graph.  The script prints a summary table and exits nonzero
-on any disagreement.  JSONL output goes to --out when given.
+oracle on one graph.  The script prints a summary table and exits 1 on any
+disagreement.  A vertex cap over a family's corpus budget is refused before
+any sweep runs, with the budget message on stderr and exit code 3, as in the
+CLI.  JSONL output goes to --out when given.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from pmsp import CorpusSpec, agreement_sweep
+from pmsp import CorpusSpec, TooLargeError, agreement_sweep
+from pmsp.cli import EXIT_BUDGET
 
 DEFAULT_PLAN = [
     ("all", 7),
@@ -42,10 +45,17 @@ def main() -> int:
     elif args.max_n is not None:
         plan = [(family, min(cap, args.max_n)) for family, cap in DEFAULT_PLAN]
 
+    try:
+        specs = [CorpusSpec(max_n=cap, family=family) for family, cap in plan]
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+
     failures = 0
-    for family, cap in plan:
+    for spec in specs:
+        family, cap = spec.family, spec.max_n
         started = time.perf_counter()
-        report = agreement_sweep(CorpusSpec(max_n=cap, family=family))
+        report = agreement_sweep(spec)
         elapsed = time.perf_counter() - started
         bad = len(report.disagreements)
         failures += bad

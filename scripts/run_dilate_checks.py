@@ -3,7 +3,9 @@
 
 Verifies that second and third dilates decompose into sums of polytope
 points: in the ambient integer lattice for bipartite graphs, and in the
-lattice spanned by the points themselves for everything else.
+lattice spanned by the points themselves for everything else.  Exits 1 on
+any failed decomposition, and 3 with the budget message on stderr when
+--max-n is over the corpus cap, as in the CLI.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import argparse
 import sys
 import time
 
-from pmsp import CorpusSpec, bipartition, generate_corpus, idp_check
+from pmsp import CorpusSpec, TooLargeError, bipartition, generate_corpus, idp_check
+from pmsp.cli import EXIT_BUDGET
 
 
 def main() -> int:
@@ -22,10 +25,16 @@ def main() -> int:
     parser.add_argument("--k", type=int, nargs="+", choices=(2, 3), default=[2, 3])
     args = parser.parse_args()
 
+    try:
+        spec = CorpusSpec(max_n=args.max_n)
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+
     started = time.perf_counter()
     checked = 0
     failures = []
-    for g in generate_corpus(CorpusSpec(max_n=args.max_n)):
+    for g in generate_corpus(spec):
         mode = "idp" if bipartition(g) is not None else "normality"
         for k in args.k:
             result = idp_check(g, k, mode=mode)

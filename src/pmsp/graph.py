@@ -340,8 +340,11 @@ def mask_is_bipartite(adj_masks, mask: int) -> bool:
 
 def mask_neighborhood(adj_masks, mask: int) -> int:
     out = 0
-    for v in mask_vertices(mask):
-        out |= adj_masks[v]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out |= adj_masks[low.bit_length()]
+        rest ^= low
     return out & ~mask
 
 

@@ -1,7 +1,10 @@
 """Exact integer linear algebra: ranks, Hermite bases, small linear solves.
 
-Everything here works over arbitrary-precision Python integers (Fractions for
-the dense solve); no floating point.  Conventions: row-style Hermite normal
+Everything here is exact; no floating point.  Elimination runs on
+arbitrary-precision Python integers, and solutions come out as Fractions.
+`affine_rank` screens large point sets against an integer kernel basis, a
+chunk at a time, with numpy products: in int64 when no value can reach
+INT64_SAFE, in Python integers (object arrays) otherwise.  Conventions: row-style Hermite normal
 form with strictly increasing pivot columns, positive pivots, and entries
 above each pivot reduced into [0, pivot).
 """
@@ -9,7 +12,12 @@ above each pivot reduced into [0, pivot).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import compress, islice
+from math import gcd, lcm
+
+import numpy as np
+
+INT64_SAFE = 1 << 62  # bound on |values| for which int64 products are exact
 
 
 def dot(a, b) -> int:
@@ -42,12 +50,12 @@ class IntRowBasis:
     def add(self, vector) -> bool:
         v = list(vector)
         while True:
-            lead = next((i for i, x in enumerate(v) if x), None)
+            lead = next(compress(range(len(v)), v), None)
             if lead is None:
                 return False
             row = self.rows.get(lead)
             if row is None:
-                g = vector_gcd(v)
+                g = gcd(*v)
                 if v[lead] < 0:
                     g = -g
                 self.rows[lead] = [x // g for x in v]
@@ -57,24 +65,90 @@ class IntRowBasis:
             ca, cb = a // g, b // g
             v = [ca * y - cb * x for x, y in zip(row, v)]
 
+    def kernel(self, n: int) -> list[list[int]]:
+        """Integer basis of the vectors of length n orthogonal to every
+        stored row: the stored rows are brought to reduced echelon form
+        without fractions, then each free column gives one kernel vector."""
+        leads = sorted(self.rows)
+        rows = {c: self.rows[c] for c in leads}
+        for i in range(len(leads) - 1, 0, -1):
+            c = leads[i]
+            low = rows[c]
+            for above in leads[:i]:
+                row = rows[above]
+                if row[c]:
+                    g = gcd(low[c], row[c])
+                    ca, cb = low[c] // g, row[c] // g
+                    row = [ca * x - cb * y for x, y in zip(row, low)]
+                    g = gcd(*row)
+                    rows[above] = [x // g for x in row]
+        scale = lcm(*(rows[c][c] for c in leads))
+        kernel = []
+        for free in range(n):
+            if free in rows:
+                continue
+            v = [0] * n
+            v[free] = scale
+            for c in leads:
+                v[c] = -rows[c][free] * (scale // rows[c][c])
+            g = gcd(*v)
+            kernel.append([x // g for x in v])
+        return kernel
+
+
+def _outside_span(kernel: list[list[int]], points: list, base) -> list[int]:
+    """Indices of the points p with a nonzero product of p - base against
+    some kernel row, i.e. outside the affine span the kernel annihilates.
+    One numpy product, in int64 when no partial sum can reach INT64_SAFE
+    and in Python integers (object arrays) otherwise."""
+    width = len(base) * max(abs(x) for row in kernel for x in row)
+    try:
+        matrix = np.array(points, dtype=np.int64)
+        top = max(int(matrix.max()), -int(matrix.min()), *map(abs, base))
+    except OverflowError:
+        matrix, top = np.array(points, dtype=object), INT64_SAFE
+    dtype = np.int64 if 2 * top * width < INT64_SAFE else object
+    diffs = matrix.astype(dtype) - np.array(base, dtype=dtype)
+    products = diffs @ np.array(kernel, dtype=dtype).T
+    return np.flatnonzero(products.any(axis=1)).tolist()
+
 
 def affine_rank(points, stop: int | None = None) -> int:
     """Affine dimension of a point set: -1 for empty, 0 for a single point.
 
     With `stop`, elimination ends as soon as the rank reaches it, so the
-    result is min(rank, stop) for any stop >= 0.
+    result is min(rank, stop) for any stop >= 0; stop defaults to the
+    ambient dimension.  The first 2 * (stop + 1) points after the first are
+    eliminated one by one.  Later points come in chunks, each twice the
+    last, and are first screened against an integer kernel basis of the
+    rows found so far: the row space is exactly the annihilator of that
+    kernel over Q, so only differences with a nonzero kernel product can
+    raise the rank, and only they are eliminated.
     """
     it = iter(points)
     try:
         base = next(it)
     except StopIteration:
         return -1
-    basis = IntRowBasis()
-    if basis.rank == stop:
+    n = len(base)
+    stop = n if stop is None else min(stop, n)
+    if stop == 0:
         return 0
-    for p in it:
+    basis = IntRowBasis()
+    size = 2 * (stop + 1)
+    for p in islice(it, size):
         if basis.add([x - y for x, y in zip(p, base)]) and basis.rank == stop:
-            break
+            return stop
+    kernel = None
+    while chunk := list(islice(it, size)):
+        if kernel is None:
+            kernel = basis.kernel(n)
+        for i in _outside_span(kernel, chunk, base):
+            if basis.add([x - y for x, y in zip(chunk[i], base)]):
+                if basis.rank == stop:
+                    return stop
+                kernel = None
+        size *= 2
     return basis.rank
 
 
@@ -135,42 +209,56 @@ def lattice_coordinates(basis, pivots, vector) -> list[int] | None:
     return coords
 
 
-def solve_unique_rational(rows, rhs) -> tuple[Fraction, ...] | None:
-    """Solve rows * x = rhs when the solution is unique; None otherwise.
+def solve_unique_columns(rows, columns):
+    """Solve rows * x = column for several right-hand sides with one
+    fraction-free Gauss-Jordan elimination of [rows | columns].
 
-    None covers both inconsistent and underdetermined systems.
+    Returns None when rows has rank below its width, so that no right-hand
+    side has a unique solution.  Otherwise returns (solutions, residues),
+    one entry per column: the solution read off the pivots, which holds
+    when the column is consistent, and the column's entries on the rows
+    that reduced to zero.  Each row is only ever scaled by a nonzero
+    integer, the same in every column, so a linear combination of the
+    columns is consistent exactly when the same combination of their
+    residues is zero, and its unique solution is then that combination of
+    the solutions.
     """
     s = len(rows)
     if s == 0:
         return None
     d = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
+    aug = [list(row) + [col[i] for col in columns] for i, row in enumerate(rows)]
     for c in range(d):
-        pr = next((i for i in range(r, s) if aug[i][c]), None)
+        pr = next((i for i in range(c, s) if aug[i][c]), None)
         if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(s):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == s:
-            break
-    for i in range(r, s):
-        if aug[i][d]:
             return None
-    if len(pivots) < d:
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pivot = aug[c]
+        for i in range(s):
+            a = aug[i][c]
+            if a and i != c:
+                g = gcd(pivot[c], a)
+                ca, cb = pivot[c] // g, a // g
+                row = [ca * x - cb * y for x, y in zip(aug[i], pivot)]
+                g = gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
+    solutions = [
+        tuple(Fraction(aug[i][j], aug[i][i]) for i in range(d))
+        for j in range(d, d + len(columns))
+    ]
+    residues = [tuple(aug[i][j] for i in range(d, s)) for j in range(d, d + len(columns))]
+    return solutions, residues
+
+
+def solve_unique_rational(rows, rhs) -> tuple[Fraction, ...] | None:
+    """Solve rows * x = rhs when the solution is unique; None otherwise.
+
+    None covers both inconsistent and underdetermined systems.
+    """
+    solved = solve_unique_columns(rows, [rhs])
+    if solved is None or any(solved[1][0]):
         return None
-    sol = [Fraction(0)] * d
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][d]
-    return tuple(sol)
+    return solved[0][0]
 
 
 def as_integer_vector(solution) -> tuple[int, ...] | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -37,15 +38,16 @@ from .graph import (
     proper_nonempty_submasks,
 )
 from .intlattice import (
+    INT64_SAFE,
     affine_rank,
     as_integer_vector,
     dot,
     hnf_rows,
     lattice_coordinates,
     primitivize,
-    solve_unique_rational,
+    solve_unique_columns,
 )
-from .matchable import matchable_subsets, mask_perfectly_matchable
+from .matchable import matchable_subsets
 
 DILATE_VERTEX_LIMIT = 10
 
@@ -297,7 +299,6 @@ def dimension(g: Graph) -> int:
     return g.n - sum(mask_is_bipartite(g.adj_masks, c) for c in comps)
 
 
-INT64_SAFE = 1 << 62  # bound on |normal|_1 * max|x_i| for int64 row values
 _VALUES_BLOCK = 1 << 14  # row values (rows x points) multiplied out at a time
 
 
@@ -382,84 +383,105 @@ def _bipartite_system(g: Graph) -> list[AffineInequality]:
     return rows
 
 
-def _odd_set_candidates(g: Graph) -> list[int]:
-    """Vertex sets whose induced components are single vertices or odd nonbipartite.
+def _bound_rows(n: int) -> list[tuple[tuple[int, ...], int, str]]:
+    """(normal, rhs, source) of the rows 0 <= x_v <= 1 of a nonbipartite graph."""
+    return [
+        (tuple(sign if i == v - 1 else 0 for i in range(n)), rhs, f"{name}({v})")
+        for sign, rhs, name in ((-1, 0, "NonNeg"), (1, 1, "UpperOne"))
+        for v in range(1, n + 1)
+    ]
 
-    One pass in increasing order: a mask qualifies when the component of its
-    lowest vertex and the rest, both smaller masks unless it is connected, do.
+
+def _odd_set_rows(g: Graph, matchable: bytes | None = None):
+    """Yield (normal, rhs, facet, source) for every odd-set row: one per
+    vertex set S whose induced components are single vertices or odd and
+    nonbipartite, in increasing mask order, with rhs |S| - #components.
+
+    One pass over all masks in increasing order: a disconnected mask reads
+    its facts off the component of its lowest vertex and the rest, both
+    smaller masks.  With `matchable` (nonzero at the masks of perfectly
+    matchable sets) facet is the criterion: every component of S is
+    critical, every component outside S and its neighborhood N is
+    nonbipartite, and S + N stays connected without the edges inside N.
+    Without it the criterion is skipped and facet is None.
     """
     adj = g.adj_masks
-    size = 1 << g.n
-    good = bytearray(size)
-    good[0] = 1
+    n = g.n
+    size = 1 << n
+    flagged = matchable is not None
+    count = bytearray(size)  # components of a candidate, 0 otherwise
+    critical = bytearray(size)  # candidate whose components are all critical
+    nonbipartite = bytearray(size)  # mask whose components are all nonbipartite
+    nonbipartite[0] = 1
     for mask in range(1, size):
         low = mask & -mask
         comp = mask_component(adj, mask, low)
         if comp != mask:
-            good[mask] = good[comp] and good[mask ^ comp]
-        elif comp == low or (mask.bit_count() % 2 and not mask_is_bipartite(adj, mask)):
-            good[mask] = 1
-    return [mask for mask in range(1, size) if good[mask]]
+            rest = mask ^ comp
+            if count[comp] and count[rest]:
+                count[mask] = count[rest] + 1
+                critical[mask] = critical[comp] and critical[rest]
+            nonbipartite[mask] = nonbipartite[comp] and nonbipartite[rest]
+            continue
+        odd = mask.bit_count() % 2
+        if comp != low and (flagged or odd):
+            nonbipartite[mask] = not mask_is_bipartite(adj, mask)
+        if comp == low or (odd and nonbipartite[mask]):
+            count[mask] = 1
+            if flagged:
+                rest = mask
+                while rest and matchable[mask ^ (rest & -rest)]:
+                    rest &= rest - 1
+                critical[mask] = not rest
+    full = g.full_mask
+    masks = np.flatnonzero(np.frombuffer(count, dtype=np.uint8)).tolist()
+    gams = [mask_neighborhood(adj, s_mask) for s_mask in masks]
+    shifts = np.arange(n)
+    inside = np.array(masks, dtype=np.int64)[:, None] >> shifts & 1
+    normals = inside - (np.array(gams, dtype=np.int64)[:, None] >> shifts & 1)
+    labels = [str(v) for v in range(1, n + 1)]
+    for s_mask, gam, normal, members in zip(masks, gams, normals.tolist(), inside.tolist()):
+        facet = None
+        if flagged:
+            facet = bool(
+                critical[s_mask]
+                and nonbipartite[full & ~(s_mask | gam)]
+                and _connected_after_internal_deletion(adj, s_mask, gam)
+            )
+        yield (
+            tuple(normal),
+            s_mask.bit_count() - count[s_mask],
+            facet,
+            f"OddSet({','.join(compress(labels, members))})",
+        )
 
 
 def _connected_after_internal_deletion(adj_masks, s_mask: int, gam: int) -> bool:
     """Connectivity of the induced graph on S and its neighborhood, with the
     edges inside the neighborhood removed."""
     allowed = s_mask | gam
-    start = allowed & -allowed
-    comp = start
-    frontier = start
+    comp = frontier = allowed & -allowed
     while frontier:
         nxt = 0
-        for v in mask_vertices(frontier):
-            reach = adj_masks[v] & (s_mask if (gam >> (v - 1)) & 1 else allowed)
-            nxt |= reach
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj_masks[low.bit_length()] & (s_mask if low & gam else allowed)
+            frontier ^= low
         frontier = nxt & ~comp
         comp |= frontier
     return comp == allowed
 
 
-def _odd_component_critical(adj_masks, comp: int, memo: dict[int, bool]) -> bool:
-    if comp.bit_count() == 1:
-        return True
-    for v in mask_vertices(comp):
-        if not mask_perfectly_matchable(adj_masks, comp & ~(1 << (v - 1)), memo):
-            return False
-    return True
-
-
 def _nonbipartite_system(g: Graph, pts: PointSet) -> list[AffineInequality]:
-    n = g.n
-    adj = g.adj_masks
-    full = g.full_mask
-    bounds = [
-        (tuple(sign if i == v - 1 else 0 for i in range(n)), rhs, f"{name}({v})")
-        for sign, rhs, name in ((-1, 0, "NonNeg"), (1, 1, "UpperOne"))
-        for v in range(1, n + 1)
-    ]
-    scan = facet_scan(pts.points, n, [row[:2] for row in bounds], pts.matrix)
+    bounds = _bound_rows(g.n)
+    scan = facet_scan(pts.points, g.n, [row[:2] for row in bounds], pts.matrix)
     rows = [
         AffineInequality(normal, rhs, facet, source)
         for (normal, rhs, source), (_, facet) in zip(bounds, scan)
     ]
-    memo: dict[int, bool] = {}
-    for s_mask in _odd_set_candidates(g):
-        comps = mask_components(adj, s_mask)
-        gam = mask_neighborhood(adj, s_mask) & ~s_mask
-        rhs = s_mask.bit_count() - len(comps)
-        normal = tuple(
-            1 if s_mask >> i & 1 else (-1 if gam >> i & 1 else 0) for i in range(n)
-        )
-        facet = all(_odd_component_critical(adj, c, memo) for c in comps)
-        if facet:
-            outside = full & ~(s_mask | gam)
-            facet = all(
-                not mask_is_bipartite(adj, c) for c in mask_components(adj, outside)
-            )
-        if facet:
-            facet = _connected_after_internal_deletion(adj, s_mask, gam)
-        members = ",".join(str(v) for v in mask_vertices(s_mask))
-        rows.append(AffineInequality(normal, rhs, facet, f"OddSet({members})"))
+    matchable = np.zeros(1 << g.n, dtype=np.uint8)
+    matchable[list(pts.masks)] = 1
+    rows += [AffineInequality(*row) for row in _odd_set_rows(g, matchable.tobytes())]
     return rows
 
 
@@ -651,10 +673,19 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
                 f"facet flag mismatch for {source}: criterion={flag}, geometric={geo}"
             )
     facet_rows = [row for row, geo in zip(rows, geometric) if geo]
-    normals = [row[0] for row in facet_rows]
+    # index t asks for normals . x = t * rhs - 1: one elimination of
+    # [normals | rhs | 1] serves every t
+    solved = solve_unique_columns(
+        [normal for normal, _ in facet_rows],
+        [[rhs for _, rhs in facet_rows], [1] * len(facet_rows)],
+    )
+    if solved is None:
+        return None
+    (per_index, shift), (residue, residue_shift) = solved
     for index in range(1, dim + 2):
-        rhs_vec = [index * rhs - 1 for _, rhs in facet_rows]
-        alpha = as_integer_vector(solve_unique_rational(normals, rhs_vec))
+        if any(index * a != b for a, b in zip(residue, residue_shift)):
+            continue
+        alpha = as_integer_vector([index * x - y for x, y in zip(per_index, shift)])
         if alpha is None:
             continue
         if all(dot(normal, alpha) < index * rhs for normal, rhs in rows):
@@ -753,10 +784,11 @@ def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
             f"dilate enumeration capped at {DILATE_VERTEX_LIMIT} vertices, got {g.n}"
         )
     pts = lattice_points(g)
-    system = inequality_system(g, pts)
-    codes = _dilate_codes(
-        [ineq.normal for ineq in system], [k * ineq.rhs for ineq in system], g.n, k
-    )
+    if bipartition(g) is not None:
+        rows = [(ineq.normal, ineq.rhs) for ineq in _bipartite_system(g)]
+    else:
+        rows = [row[:2] for row in _bound_rows(g.n) + list(_odd_set_rows(g))]
+    codes = _dilate_codes([normal for normal, _ in rows], [k * rhs for _, rhs in rows], g.n, k)
     weights = (k + 1) ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
     if mode == "normality":
         codes = _lattice_codes(codes, weights, k, pts.lattice)

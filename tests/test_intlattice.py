@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form
 
+from pmsp import intlattice
 from pmsp.intlattice import (
     IntRowBasis,
     affine_rank,
@@ -16,6 +17,7 @@ from pmsp.intlattice import (
     hnf_rows,
     lattice_coordinates,
     primitivize,
+    solve_unique_columns,
     solve_unique_rational,
     vector_gcd,
 )
@@ -167,3 +169,174 @@ class TestSolve:
             assert sol is None
         else:
             assert sol == tuple(Fraction(1) for _ in range(d))
+
+
+def _sympy_unique(rows, rhs):
+    """Independent oracle: the unique solution by sympy, or None."""
+    try:
+        sol, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:
+        return None
+    if params.shape[0]:
+        return None
+    return tuple(Fraction(int(x.p), int(x.q)) for x in sol)
+
+
+def _solve_at(solved, t):
+    """The solution of rows * x = t * b - c read off one elimination of
+    [rows | b | c], as the geometric Gorenstein search reads it."""
+    if solved is None:
+        return None
+    (u, w), (ru, rw) = solved
+    if any(t * x != y for x, y in zip(ru, rw)):
+        return None
+    return tuple(t * x - y for x, y in zip(u, w))
+
+
+@st.composite
+def indexed_systems(draw):
+    """(rows, b, c) with rows * x = t * b - c consistent for every t, for
+    one t only (b and c carry an extra vector e), or for none."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    s = draw(st.integers(min_value=1, max_value=d + 3))
+    entry = st.integers(min_value=-6, max_value=6)
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=s, max_size=s))
+    x0, x1 = (draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(2))
+    e = draw(st.lists(entry, min_size=s, max_size=s))
+    t0 = draw(st.integers(min_value=0, max_value=6))
+    kind = draw(st.sampled_from(["all", "one", "none", "free"]))
+    b = [dot(r, x1) for r in rows]
+    c = [dot(r, x0) for r in rows]
+    if kind == "one":
+        b = [x + y for x, y in zip(b, e)]
+        c = [x + t0 * y for x, y in zip(c, e)]
+    elif kind == "none":
+        c = [x + y for x, y in zip(c, e)]
+    elif kind == "free":
+        b = draw(st.lists(entry, min_size=s, max_size=s))
+        c = draw(st.lists(entry, min_size=s, max_size=s))
+    return rows, b, c
+
+
+class TestSolveColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(indexed_systems())
+    def test_one_elimination_matches_each_index(self, system):
+        rows, b, c = system
+        solved = solve_unique_columns(rows, [b, c])
+        for t in range(-2, 9):
+            rhs = [t * x - y for x, y in zip(b, c)]
+            expected = solve_unique_rational(rows, rhs)
+            assert _solve_at(solved, t) == expected
+            assert expected == _sympy_unique(rows, rhs)
+
+    def test_consistent_for_one_index_only(self):
+        # x = 2, y = t - 1 from the first two rows; the third row
+        # x + y = 2t - 3 holds only at t = 4
+        rows = [(1, 0), (0, 1), (1, 1)]
+        solved = solve_unique_columns(rows, [[0, 1, 2], [-2, 1, 3]])
+        found = {t: _solve_at(solved, t) for t in range(6)}
+        assert found == {0: None, 1: None, 2: None, 3: None, 4: (2, 3), 5: None}
+
+    def test_underdetermined_and_empty(self):
+        assert solve_unique_columns([(1, 1), (2, 2)], [[1, 2], [0, 0]]) is None
+        assert solve_unique_columns([], [[], []]) is None
+
+    def test_inconsistent_for_every_index(self):
+        solved = solve_unique_columns([(1,), (1,)], [[1, 1], [0, 1]])
+        assert all(_solve_at(solved, t) is None for t in range(-3, 4))
+
+    def test_fractional_solution(self):
+        (sol,), (res,) = solve_unique_columns([(2, 0), (0, 3), (2, 3)], [[1, 1, 2]])
+        assert sol == (Fraction(1, 2), Fraction(1, 3)) and res == (0,)
+
+
+def _full_rank(points):
+    """Affine rank by eliminating every difference, with no stop or screen."""
+    if not points:
+        return -1
+    basis = IntRowBasis()
+    for p in points[1:]:
+        basis.add([x - y for x, y in zip(p, points[0])])
+    return basis.rank
+
+
+@st.composite
+def low_rank_clouds(draw):
+    """Many integer points in a low-dimensional affine subspace, optionally
+    followed by points off it, so the first 2 * (stop + 1) points rarely
+    reach the rank."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-4, max_value=4)
+    k = draw(st.integers(min_value=0, max_value=n))
+    gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    base = draw(st.lists(entry, min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=40))
+    points = [
+        tuple(b + sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base))
+        for cs in coeffs
+    ]
+    extra = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2))
+    points += [tuple(p) for p in extra]
+    return points
+
+
+class TestCertifiedAffineRank:
+    @settings(max_examples=300, deadline=None)
+    @given(low_rank_clouds(), st.integers(min_value=0, max_value=7))
+    def test_matches_full_elimination(self, points, stop):
+        full = _full_rank(points)
+        assert affine_rank(points) == full
+        assert affine_rank(points, stop) == min(full, stop)
+
+    def test_rank_raising_point_after_the_prefix(self):
+        line = [(i, 2 * i, 0, 0, 1) for i in range(40)]
+        points = line + [(0, 0, 1, 0, 1)]
+        assert _full_rank(points) == 2
+        assert [affine_rank(points, stop) for stop in range(5)] == [0, 1, 2, 2, 2]
+        assert affine_rank(points) == 2
+        assert affine_rank(line + [(3, 6, 0, 0, 1)]) == 1
+
+    def test_screen_skips_points_in_the_span(self, monkeypatch):
+        added = []
+        original = IntRowBasis.add
+
+        def counting(self, vector):
+            added.append(vector)
+            return original(self, vector)
+
+        monkeypatch.setattr(IntRowBasis, "add", counting)
+        points = [(i, i, 0) for i in range(200)] + [(0, 0, 1)]
+        assert affine_rank(points, 2) == 2
+        # the 2 * (2 + 1) prefix points, then only the point off the line
+        assert len(added) == 7
+
+    def test_small_sets_stay_in_python(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("screened a set no longer than its prefix")
+
+        monkeypatch.setattr(intlattice, "_outside_span", refuse)
+        points = [(i, i, 0, 0) for i in range(9)]
+        assert affine_rank(points, 3) == 1  # 1 base point + 2 * (3 + 1)
+
+    def test_oversized_coordinates_use_python_ints(self):
+        huge = 1 << 70
+        points = [(0, 0, 0)] + [(i * huge, 0, i) for i in range(1, 12)] + [(0, 1, 0)]
+        assert affine_rank(points) == _full_rank(points) == 2
+        # products of 2^40 * 2^24 = 2^64 wrap to 0 in int64, which would
+        # wrongly place the last point in the span of the first ones
+        points = [(0, 0)] + [(k, k << 40) for k in range(1, 8)] + [(1 << 24, 0)]
+        assert affine_rank(points) == _full_rank(points) == 2
+
+    @settings(max_examples=100)
+    @given(small_mat)
+    def test_kernel_is_the_orthogonal_complement(self, rows):
+        basis = IntRowBasis()
+        for row in rows:
+            basis.add(tuple(row))
+        n = len(rows[0])
+        kernel = basis.kernel(n)
+        assert len(kernel) == n - basis.rank
+        assert all(dot(k, r) == 0 for k in kernel for r in rows)
+        if kernel:
+            assert sympy.Matrix(kernel).rank() == len(kernel)

@@ -501,3 +501,30 @@ class TestDilateCodes:
         inside = _lattice_codes(codes, weights, 3, lat)
         assert inside.tolist() == [0]
         assert [c for c in range(16) if lat.contains((c // 4, c % 4))] == [0]
+
+
+class TestUnflaggedRows:
+    def test_dilate_checks_compute_no_facet_flags(self, monkeypatch):
+        """idp_check reads only normals and right-hand sides: neither the
+        bound-row ranks nor the odd-set criterion may run."""
+        import pmsp.polytope as polytope
+
+        def refuse(*args):
+            raise AssertionError("a facet flag was computed")
+
+        monkeypatch.setattr(polytope, "facet_scan", refuse)
+        monkeypatch.setattr(polytope, "_connected_after_internal_deletion", refuse)
+        triangle_with_tail = Graph(6, ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6)))
+        for g in (complete_graph(5), cycle_graph(5), triangle_with_tail):
+            for k in (2, 3):
+                assert idp_check(g, k, "normality").ok
+
+    def test_rows_match_the_flagged_system(self, connected_7):
+        from pmsp.polytope import _bound_rows, _odd_set_rows
+
+        for g in connected_7:
+            if bipartition(g) is not None:
+                continue
+            flagged = [(i.normal, i.rhs, i.source) for i in inequality_system(g)]
+            rows = [row[:2] + (row[-1],) for row in _bound_rows(g.n) + list(_odd_set_rows(g))]
+            assert rows == flagged

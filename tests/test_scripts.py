@@ -1,0 +1,44 @@
+"""The standalone drivers in scripts/: exit codes of whole runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+
+
+def run_script(name: str, *argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("run_agreement_sweeps.py", ["--family", "all", "--max-n", "9"],
+         "family 'all' corpus capped at 8 vertices, got 9"),
+        ("run_agreement_sweeps.py", ["--family", "bipartite", "--max-n", "10"],
+         "family 'bipartite' corpus capped at 9 vertices, got 10"),
+        ("run_dilate_checks.py", ["--max-n", "11"],
+         "family 'all' corpus capped at 8 vertices, got 11"),
+    ],
+)
+def test_over_budget_exits_3_with_the_budget_message(name, argv, message):
+    # exit 1 would read as a disagreement or a failed decomposition
+    result = run_script(name, *argv)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["run_agreement_sweeps.py", "run_dilate_checks.py"])
+def test_small_runs_exit_0(name):
+    result = run_script(name, "--max-n", "4")
+    assert result.returncode == 0, result.stdout + result.stderr
