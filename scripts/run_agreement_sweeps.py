@@ -5,7 +5,7 @@ Each record compares a structural decider with an independent brute-force
 oracle on one graph.  The script prints a summary table and exits 1 on any
 disagreement.  A vertex cap over a family's corpus budget is refused before
 any sweep runs, with the budget message on stderr and exit code 3, as in the
-CLI.  JSONL output goes to --out when given.
+CLI; a cap below 1 exits 2.  JSONL output goes to --out when given.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from pmsp import CorpusSpec, TooLargeError, agreement_sweep
-from pmsp.cli import EXIT_BUDGET
+from pmsp.cli import EXIT_BUDGET, EXIT_USAGE
 
 DEFAULT_PLAN = [
     ("all", 7),
@@ -40,7 +40,7 @@ def main() -> int:
 
     plan = DEFAULT_PLAN
     if args.family is not None:
-        cap = args.max_n or dict(DEFAULT_PLAN)[args.family]
+        cap = args.max_n if args.max_n is not None else dict(DEFAULT_PLAN)[args.family]
         plan = [(args.family, cap)]
     elif args.max_n is not None:
         plan = [(family, min(cap, args.max_n)) for family, cap in DEFAULT_PLAN]
@@ -50,6 +50,9 @@ def main() -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     failures = 0
     for spec in specs:

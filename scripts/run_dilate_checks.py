@@ -5,7 +5,7 @@ Verifies that second and third dilates decompose into sums of polytope
 points: in the ambient integer lattice for bipartite graphs, and in the
 lattice spanned by the points themselves for everything else.  Exits 1 on
 any failed decomposition, and 3 with the budget message on stderr when
---max-n is over the corpus cap, as in the CLI.
+--max-n is over the corpus cap, as in the CLI; a cap below 1 exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import time
 
 from pmsp import CorpusSpec, TooLargeError, bipartition, generate_corpus, idp_check
-from pmsp.cli import EXIT_BUDGET
+from pmsp.cli import EXIT_BUDGET, EXIT_USAGE
 
 
 def main() -> int:
@@ -30,6 +30,9 @@ def main() -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     started = time.perf_counter()
     checked = 0

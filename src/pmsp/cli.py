@@ -288,7 +288,11 @@ def _run_classify(g: Graph, args) -> int:
 
 
 def _run_sweep(args) -> int:
-    spec = CorpusSpec(max_n=args.max_n if args.max_n is not None else 6, family=args.family)
+    try:
+        spec = CorpusSpec(max_n=args.max_n if args.max_n is not None else 6, family=args.family)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = agreement_sweep(spec)
     if args.format == "json":
         out = report.to_jsonl(include_timing=args.timing)

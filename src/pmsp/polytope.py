@@ -6,6 +6,11 @@ enumerates the lattice points, emits the known inequality description with
 per-row facet flags, normalizes away the affine hull, and decides geometric
 properties (facet ranks, Gorenstein interior vectors, dilate decompositions)
 in exact integer arithmetic.
+
+There is one normalization: points and rows are rewritten in the Hermite
+basis of the lattice the points span (`normalize_lattice`).  For a connected
+bipartite graph that basis is e_i +- e_n, so the map drops the last
+coordinate (`bipartite_projection`).
 """
 
 from __future__ import annotations
@@ -89,6 +94,14 @@ class AffineLattice:
     def contains(self, point) -> bool:
         return self.coordinates(point) is not None
 
+    def to_ambient(self, coords) -> tuple[int, ...]:
+        out = list(self.origin)
+        for c, row in zip(coords, self.basis):
+            if c:
+                for i, x in enumerate(row):
+                    out[i] += c * x
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -137,79 +150,19 @@ class AffineInequality:
 
 
 @dataclass(frozen=True)
-class NormalizationMap:
-    """Invertible affine map between ambient and full-dimensional coordinates.
-
-    `coordinate-drop` removes the last coordinate of a connected bipartite
-    graph (the balance equality makes it redundant); `lattice-basis` rewrites
-    points in Hermite-basis coordinates of the lattice they span.
-    """
-
-    kind: str
-    ambient_n: int
-    dropped: int | None = None
-    plus_mask: int = 0
-    minus_mask: int = 0
-    origin: tuple[int, ...] = ()
-    basis: tuple[tuple[int, ...], ...] = ()
-    pivots: tuple[int, ...] = ()
-
-    def _balance_value(self, reduced) -> int:
-        total = 0
-        for i, x in enumerate(reduced):
-            bit = 1 << i
-            if self.plus_mask & bit:
-                total += x
-            elif self.minus_mask & bit:
-                total -= x
-        return total
-
-    def to_normalized(self, point) -> tuple[int, ...] | None:
-        if self.kind == "coordinate-drop":
-            reduced = tuple(point[:-1])
-            if point[-1] != self._balance_value(reduced):
-                return None
-            return reduced
-        diff = [x - o for x, o in zip(point, self.origin)]
-        coords = lattice_coordinates(self.basis, self.pivots, diff)
-        return None if coords is None else tuple(coords)
-
-    def to_ambient(self, reduced) -> tuple[int, ...]:
-        if self.kind == "coordinate-drop":
-            return tuple(reduced) + (self._balance_value(reduced),)
-        out = list(self.origin)
-        for c, row in zip(reduced, self.basis):
-            if c:
-                for i, x in enumerate(row):
-                    out[i] += c * x
-        return tuple(out)
-
-    def transport(self, normal, rhs: int) -> tuple[tuple[int, ...], int]:
-        """Rewrite an ambient inequality in normalized coordinates."""
-        if self.kind == "coordinate-drop":
-            last = normal[-1]
-            out = []
-            for i, a in enumerate(normal[:-1]):
-                bit = 1 << i
-                if self.plus_mask & bit:
-                    out.append(a + last)
-                elif self.minus_mask & bit:
-                    out.append(a - last)
-                else:
-                    out.append(a)
-            return tuple(out), rhs
-        out = tuple(dot(normal, row) for row in self.basis)
-        return out, rhs - dot(normal, self.origin)
-
-
-@dataclass(frozen=True)
 class NormalizedPolytope:
-    """Full-dimensional model of the polytope after removing its affine hull."""
+    """Full-dimensional model of the polytope in the coordinates of the
+    lattice its points span (`transform`).  `rows` are the transported
+    inequalities with their criterion flags; `facets` the flagged ones."""
 
     dim: int
     points: tuple[tuple[int, ...], ...]
-    facets: tuple[AffineInequality, ...]
-    transform: NormalizationMap
+    rows: tuple[AffineInequality, ...]
+    transform: AffineLattice
+
+    @property
+    def facets(self) -> tuple[AffineInequality, ...]:
+        return tuple(row for row in self.rows if row.facet)
 
 
 @dataclass(frozen=True)
@@ -547,103 +500,73 @@ def verify_facet_flags(g: Graph) -> FacetCheckReport:
     return FacetCheckReport(dim, len(system), tuple(disagreements))
 
 
-def _transport_flagged(system, transform) -> tuple[list[tuple[tuple[int, ...], int]], list[str], list[bool]]:
-    """Transport all rows, primitivize, and merge coincident ones.
+def _transport_flagged(system, lattice: AffineLattice) -> list[AffineInequality]:
+    """Rewrite every row in the coordinates of `lattice`, primitivize, and
+    merge coincident rows, keeping criterion flags and joining sources.
 
-    Returns unique (normal, rhs) rows, merged source strings, and criterion
-    flags.  Zero rows (the balance pair after a coordinate drop) are removed;
-    coincident rows with conflicting flags raise.
+    A normal a becomes (a . b for b in basis) and rhs drops by a . origin,
+    all from one `_row_values` product.  Rows that vanish (the balance pair
+    of a bipartite graph) are removed; coincident rows with conflicting
+    flags raise.
     """
-    merged: dict[tuple[tuple[int, ...], int], tuple[str, bool]] = {}
-    for ineq in system:
-        normal, rhs = transform.transport(ineq.normal, ineq.rhs)
+    frame = _point_matrix([lattice.origin, *lattice.basis])
+    values = _row_values([ineq.normal for ineq in system], frame)
+    merged: dict[tuple[tuple[int, ...], int], AffineInequality] = {}
+    for ineq, (shift, *normal) in zip(system, (v.tolist() for v in values)):
+        rhs = ineq.rhs - shift
         if not any(normal):
             if rhs < 0:
                 raise InconsistentFacetsError(
                     f"row {ineq.source} became infeasible after normalization"
                 )
             continue
-        normal, rhs = primitivize(normal, rhs)
-        key = (normal, rhs)
-        if key in merged:
-            source, flag = merged[key]
-            if flag != ineq.facet:
-                raise InconsistentFacetsError(
-                    f"coincident rows with conflicting facet flags: {source} vs {ineq.source}"
-                )
-            merged[key] = (f"{source}|{ineq.source}", flag)
+        key = primitivize(normal, rhs)
+        row = merged.get(key)
+        if row is None:
+            merged[key] = AffineInequality(*key, ineq.facet, ineq.source)
+        elif row.facet != ineq.facet:
+            raise InconsistentFacetsError(
+                f"coincident rows with conflicting facet flags: {row.source} vs {ineq.source}"
+            )
         else:
-            merged[key] = (ineq.source, ineq.facet)
-    rows = list(merged)
-    sources = [merged[k][0] for k in rows]
-    flags = [merged[k][1] for k in rows]
-    return rows, sources, flags
+            merged[key] = AffineInequality(*key, row.facet, f"{row.source}|{ineq.source}")
+    return list(merged.values())
 
 
 def bipartite_projection(
     g: Graph, pts: PointSet | None = None, system=None
 ) -> NormalizedPolytope:
-    """Drop the last coordinate of a connected bipartite graph's polytope.
+    """Normalize a connected bipartite graph's polytope.
 
-    The balance equality recovers the dropped coordinate, so this is a lattice
-    isomorphism onto a full-dimensional polytope.
+    Its points span the lattice {x : sum over one color class = sum over the
+    other}, whose Hermite basis is e_i +- e_n, so the map drops the last
+    coordinate, which the balance equality recovers.
     """
-    sides = bipartition(g)
-    if sides is None:
-        raise NotBipartiteError("coordinate-drop normalization needs a bipartite graph")
+    if bipartition(g) is None:
+        raise NotBipartiteError("bipartite projection needs a bipartite graph")
     if not is_connected(g):
-        raise DisconnectedError("coordinate-drop normalization needs a connected graph")
+        raise DisconnectedError("bipartite projection needs a connected graph")
     if pts is None:
         pts = lattice_points(g)
     if system is None:
         system = inequality_system(g, pts)
-    n = g.n
-    v1m, v2m = sides[0].mask, sides[1].mask
-    last = 1 << (n - 1)
-    plus = v2m if v1m & last else v1m
-    minus = (v1m if v1m & last else v2m) & ~last
-    transform = NormalizationMap(
-        kind="coordinate-drop",
-        ambient_n=n,
-        dropped=n,
-        plus_mask=plus,
-        minus_mask=minus,
-    )
-    points = tuple(p[:-1] for p in pts.points)
-    rows, sources, flags = _transport_flagged(system, transform)
-    facets = tuple(
-        AffineInequality(normal, rhs, True, source)
-        for (normal, rhs), source, flag in zip(rows, sources, flags)
-        if flag
-    )
-    return NormalizedPolytope(n - 1, points, facets, transform)
+    return normalize_lattice(pts, system)
 
 
 def normalize_lattice(pts: PointSet, system) -> NormalizedPolytope:
-    """Rewrite the polytope in coordinates of the lattice its points span."""
+    """Rewrite the polytope and every row of `system` in coordinates of the
+    lattice its points span."""
     if len(pts.points) < 2:
         raise DegeneratePointSetError("need at least two points to normalize")
     lat = pts.lattice
-    transform = NormalizationMap(
-        kind="lattice-basis",
-        ambient_n=pts.ambient_n,
-        origin=lat.origin,
-        basis=lat.basis,
-        pivots=lat.pivots,
-    )
     points = []
     for p in pts.points:
-        coords = transform.to_normalized(p)
+        coords = lat.coordinates(p)
         if coords is None:
             raise DegeneratePointSetError("point outside its own spanning lattice")
         points.append(coords)
-    rows, sources, flags = _transport_flagged(system, transform)
-    facets = tuple(
-        AffineInequality(normal, rhs, True, source)
-        for (normal, rhs), source, flag in zip(rows, sources, flags)
-        if flag
-    )
-    return NormalizedPolytope(lat.rank, tuple(points), facets, transform)
+    rows = tuple(_transport_flagged(system, lat))
+    return NormalizedPolytope(lat.rank, tuple(points), rows, lat)
 
 
 def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
@@ -659,18 +582,14 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     pts = lattice_points(g)
     if len(pts.points) == 1:
         return GorensteinCertificate(1, (), pts.points[0], degenerate=True)
-    system = inequality_system(g, pts)
-    if bipartition(g) is not None:
-        norm = bipartite_projection(g, pts, system)
-    else:
-        norm = normalize_lattice(pts, system)
+    norm = normalize_lattice(pts, inequality_system(g, pts))
     dim = norm.dim
-    rows, sources, flags = _transport_flagged(system, norm.transform)
+    rows = [(row.normal, row.rhs) for row in norm.rows]
     geometric = _geometric_facet_flags(norm.points, dim, rows)
-    for (normal, rhs), source, flag, geo in zip(rows, sources, flags, geometric):
-        if flag != geo:
+    for row, geo in zip(norm.rows, geometric):
+        if row.facet != geo:
             raise InconsistentFacetsError(
-                f"facet flag mismatch for {source}: criterion={flag}, geometric={geo}"
+                f"facet flag mismatch for {row.source}: criterion={row.facet}, geometric={geo}"
             )
     facet_rows = [row for row, geo in zip(rows, geometric) if geo]
     # index t asks for normals . x = t * rhs - 1: one elimination of

@@ -84,6 +84,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sweep", "--max-n", "30")
         assert code == 3
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_sweep_cap_below_one_is_a_usage_error(self, capsys, max_n):
+        # exit 1 would read as a disagreement
+        code, out, err = run_cli(capsys, "sweep", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_n must be at least 1\n"
+
     def test_gorenstein_false(self, capsys):
         code, out, _ = run_cli(capsys, "check-gorenstein", "--input", K23)
         assert code == 1

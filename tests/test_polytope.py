@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pmsp import (
+    AffineInequality,
     CorpusSpec,
     DegeneratePointSetError,
     DilateCheck,
@@ -178,7 +179,7 @@ def _scan_cases(g):
     if bipartition(g) is not None:
         norms.append(bipartite_projection(g, pts, system))
     for norm in norms:
-        rows, _, _ = _transport_flagged(system, norm.transform)
+        rows = [(row.normal, row.rhs) for row in _transport_flagged(system, norm.transform)]
         yield norm.points, norm.dim, rows, None
 
 
@@ -280,6 +281,53 @@ class TestNormalization:
         with pytest.raises(DegeneratePointSetError):
             normalize_lattice(pts, ())
 
+    def test_projection_of_a_single_vertex_is_degenerate(self):
+        with pytest.raises(DegeneratePointSetError):
+            bipartite_projection(Graph(1, ()))
+
+    def test_bipartite_lattice_basis_drops_the_last_coordinate(self, bipartite_8):
+        """For a connected bipartite graph the point lattice is
+        {x : sum over one color class = sum over the other}: origin 0 and
+        Hermite basis e_i + c_i e_n, with c_i = +1 when vertex i is on the
+        other side from vertex n and -1 on its side.  So the lattice
+        coordinates are the first n - 1, and a row a . x <= b transports to
+        a_i + c_i a_n, the coordinate-drop formula written out below."""
+        checked = 0
+        for g in bipartite_8:
+            n = g.n
+            if n < 2:
+                continue
+            pts = lattice_points(g)
+            lat = pts.lattice
+            assert lat.origin == (0,) * n
+            assert lat.pivots == tuple(range(n - 1))
+            side = bipartition(g)[0].mask
+            signs = [1 if (side >> i ^ side >> (n - 1)) & 1 else -1 for i in range(n - 1)]
+            for i, (row, c) in enumerate(zip(lat.basis, signs)):
+                assert row == tuple(1 if j == i else c if j == n - 1 else 0 for j in range(n))
+            system = inequality_system(g, pts)
+            norm = normalize_lattice(pts, system)
+            assert norm.dim == n - 1
+            assert norm.points == tuple(p[:-1] for p in pts.points)
+            expected: dict = {}
+            for ineq in system:
+                normal = tuple(a + c * ineq.normal[-1] for a, c in zip(ineq.normal, signs))
+                if ineq.source.startswith("Balance"):
+                    assert not any(normal) and ineq.rhs == 0
+                    continue
+                key = (normal, ineq.rhs)
+                if key in expected:
+                    source, flag = expected[key]
+                    expected[key] = (f"{source}|{ineq.source}", flag)
+                else:
+                    expected[key] = (ineq.source, ineq.facet)
+            got = [(row.normal, row.rhs, row.source, row.facet) for row in norm.rows]
+            assert got == [(*key, *value) for key, value in expected.items()], g.edges
+            for p, q in zip(pts.points, norm.points):
+                assert norm.transform.to_ambient(q) == p
+            checked += 1
+        assert checked == len(bipartite_8) - 1
+
     def test_nonbipartite_lattice_index_two(self):
         """For an odd cycle the point lattice is the even-coordinate-sum
         sublattice, so doubled unit vectors belong but units do not."""
@@ -289,6 +337,41 @@ class TestNormalization:
         assert not lat.contains((1, 0, 0, 0, 0))
         assert lat.contains((2, 0, 0, 0, 0))
         assert lat.contains((1, 1, 0, 0, 0))
+
+
+class TestTransport:
+    def test_rows_transported_once_per_search(self, monkeypatch):
+        import pmsp.polytope as polytope
+
+        calls = []
+        transport = polytope._transport_flagged
+
+        def counted(system, lattice):
+            calls.append(lattice.ambient_n)
+            return transport(system, lattice)
+
+        monkeypatch.setattr(polytope, "_transport_flagged", counted)
+        for g in (cycle_graph(6), complete_bipartite_graph(2, 3), cycle_graph(5), complete_graph(4)):
+            calls.clear()
+            gorenstein_geometric(g)
+            assert calls == [g.n]
+
+    def test_oversized_basis_uses_python_ints(self):
+        # 3e = 2^64 + 2 wraps to 2 in int64; 2^64 + 1 does not fit at all
+        e = (2**64 + 2) // 3
+        assert e < 2**63
+        row = AffineInequality((0, 3), 1, True, "Big")
+        for entry, value in ((e, 2**64 + 2), (2**64 + 1, 3 * 2**64 + 3)):
+            lat = AffineLattice(2, (0, 0), ((1, entry),), (0,))
+            assert _transport_flagged([row], lat) == [
+                AffineInequality((value,), 1, True, "Big")
+            ]
+        # the origin moves the rhs: 1 - 3e, which int64 would wrap to -1
+        shifted = AffineLattice(2, (0, e), ((1, 0),), (0,))
+        row = AffineInequality((1, 3), 1, True, "Big")
+        assert _transport_flagged([row], shifted) == [
+            AffineInequality((1,), -(2**64) - 1, True, "Big")
+        ]
 
 
 class TestGorensteinGeometric:

@@ -38,6 +38,22 @@ def test_over_budget_exits_3_with_the_budget_message(name, argv, message):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run_agreement_sweeps.py", ["--max-n", "0"]),
+        ("run_agreement_sweeps.py", ["--max-n", "-3"]),
+        ("run_agreement_sweeps.py", ["--family", "bipartite", "--max-n", "0"]),
+        ("run_dilate_checks.py", ["--max-n", "0"]),
+    ],
+)
+def test_cap_below_one_exits_2_with_a_usage_message(name, argv):
+    result = run_script(name, *argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: max_n must be at least 1\n"
+
+
 @pytest.mark.parametrize("name", ["run_agreement_sweeps.py", "run_dilate_checks.py"])
 def test_small_runs_exit_0(name):
     result = run_script(name, "--max-n", "4")
