@@ -238,6 +238,28 @@ class FacetCheckReport:
         }
 
 
+def _lattice_reduce(
+    points: np.ndarray, top: int, lat: AffineLattice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates over the Hermite basis of `lat` of the rows of `points`
+    (entries at most `top` in absolute value) and the mask of the rows in
+    `lat`, all reduced at once in the steps of `lattice_coordinates`.  A
+    pivot entry its basis row does not divide leaves a remainder that no
+    later row touches, so a row is in `lat` exactly when its residue is 0.
+    A value starts at most top + max|origin| and grows at most
+    (1 + max|basis entry|) fold per basis row; past INT64_SAFE the
+    reduction runs in Python ints."""
+    entry = max((abs(x) for row in lat.basis for x in row), default=0)
+    start = top + max(map(abs, lat.origin))
+    dtype = np.int64 if start * (1 + entry) ** lat.rank < INT64_SAFE else object
+    v = points.astype(dtype) - np.array(lat.origin, dtype=dtype)
+    coords = np.empty((len(v), lat.rank), dtype=dtype)
+    for i, (row, p) in enumerate(zip(lat.basis, lat.pivots)):
+        coords[:, i] = v[:, p] // row[p]
+        v -= coords[:, i, None] * np.array(row, dtype=dtype)
+    return coords, (v == 0).all(axis=1)
+
+
 def lattice_points(g: Graph) -> PointSet:
     """All lattice points of the polytope: indicators of matchable sets."""
     masks = tuple(s.mask for s in matchable_subsets(g).subsets)
@@ -472,17 +494,6 @@ def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
     return tuple(sorted({ineq.value(p) - ineq.rhs for p in pts.points}))
 
 
-def _geometric_facet_flags(points, dim: int, rows) -> list[bool]:
-    flags = []
-    for (normal, rhs), (values, facet) in zip(rows, facet_scan(points, dim, rows)):
-        if values.max() > rhs:
-            raise InconsistentFacetsError(
-                f"inequality {normal} <= {rhs} is violated by a lattice point"
-            )
-        flags.append(facet)
-    return flags
-
-
 def verify_facet_flags(g: Graph) -> FacetCheckReport:
     """Compare criterion facet flags against exact active-set ranks."""
     pts = lattice_points(g)
@@ -559,23 +570,21 @@ def normalize_lattice(pts: PointSet, system) -> NormalizedPolytope:
     if len(pts.points) < 2:
         raise DegeneratePointSetError("need at least two points to normalize")
     lat = pts.lattice
-    points = []
-    for p in pts.points:
-        coords = lat.coordinates(p)
-        if coords is None:
-            raise DegeneratePointSetError("point outside its own spanning lattice")
-        points.append(coords)
+    coords, inside = _lattice_reduce(pts.matrix, 1, lat)
+    if not inside.all():
+        raise DegeneratePointSetError("point outside its own spanning lattice")
     rows = tuple(_transport_flagged(system, lat))
-    return NormalizedPolytope(lat.rank, tuple(points), rows, lat)
+    return NormalizedPolytope(lat.rank, tuple(map(tuple, coords.tolist())), rows, lat)
 
 
 def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     """Search for the dilation index and interior vector by exact solving.
 
     Works in normalized (full-dimensional, point-lattice) coordinates.  Facet
-    rows are selected geometrically and cross-checked against the criterion
-    flags; a mismatch raises InconsistentFacetsError.  Returns None when no
-    dilation up to dim+1 has a valid interior lattice vector.
+    rows are the rows the criterion flags (`verify_facet_flags` checks those
+    flags against exact active-set ranks); a lattice point violating any row
+    raises InconsistentFacetsError.  Returns None when no dilation up to
+    dim+1 has a valid interior lattice vector.
     """
     if not is_connected(g):
         raise DisconnectedError("the geometric decision procedure needs a connected graph")
@@ -583,31 +592,28 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     if len(pts.points) == 1:
         return GorensteinCertificate(1, (), pts.points[0], degenerate=True)
     norm = normalize_lattice(pts, inequality_system(g, pts))
-    dim = norm.dim
-    rows = [(row.normal, row.rhs) for row in norm.rows]
-    geometric = _geometric_facet_flags(norm.points, dim, rows)
-    for row, geo in zip(norm.rows, geometric):
-        if row.facet != geo:
+    values = _row_values([row.normal for row in norm.rows], _point_matrix(norm.points))
+    for row, row_values in zip(norm.rows, values):
+        if row_values.max() > row.rhs:
             raise InconsistentFacetsError(
-                f"facet flag mismatch for {row.source}: criterion={row.facet}, geometric={geo}"
+                f"inequality {row.normal} <= {row.rhs} is violated by a lattice point"
             )
-    facet_rows = [row for row, geo in zip(rows, geometric) if geo]
+    facets = norm.facets
     # index t asks for normals . x = t * rhs - 1: one elimination of
     # [normals | rhs | 1] serves every t
     solved = solve_unique_columns(
-        [normal for normal, _ in facet_rows],
-        [[rhs for _, rhs in facet_rows], [1] * len(facet_rows)],
+        [row.normal for row in facets], [[row.rhs for row in facets], [1] * len(facets)]
     )
     if solved is None:
         return None
     (per_index, shift), (residue, residue_shift) = solved
-    for index in range(1, dim + 2):
+    for index in range(1, norm.dim + 2):
         if any(index * a != b for a, b in zip(residue, residue_shift)):
             continue
         alpha = as_integer_vector([index * x - y for x, y in zip(per_index, shift)])
         if alpha is None:
             continue
-        if all(dot(normal, alpha) < index * rhs for normal, rhs in rows):
+        if all(row.value(alpha) < index * row.rhs for row in norm.rows):
             return GorensteinCertificate(
                 index, alpha, norm.transform.to_ambient(alpha)
             )
@@ -662,20 +668,9 @@ def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
 def _lattice_codes(
     codes: np.ndarray, weights: np.ndarray, k: int, lat: AffineLattice
 ) -> np.ndarray:
-    """The codes whose points lie in `lat`, found by reducing every point
-    over the Hermite basis in the steps of `lattice_coordinates`.  A value
-    starts at most k + max|origin| and grows at most (1 + max|basis entry|)
-    fold per basis row; past INT64_SAFE the reduction runs in Python ints."""
-    entry = max((abs(x) for row in lat.basis for x in row), default=0)
-    start = k + max(map(abs, lat.origin))
-    dtype = np.int64 if start * (1 + entry) ** lat.rank < INT64_SAFE else object
-    v = (codes[:, None] // weights % (k + 1)).astype(dtype) - np.array(lat.origin, dtype=dtype)
-    for row, p in zip(lat.basis, lat.pivots):
-        q = v[:, p] // row[p]
-        fits = v[:, p] == q * row[p]
-        v = v[fits] - q[fits, None] * np.array(row, dtype=dtype)
-        codes = codes[fits]
-    return codes[(v == 0).all(axis=1)]
+    """The codes whose points lie in `lat`."""
+    _, inside = _lattice_reduce(codes[:, None] // weights % (k + 1), k, lat)
+    return codes[inside]
 
 
 def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:

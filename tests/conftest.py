@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pmsp import CorpusSpec, Graph, generate_corpus
+from pmsp.graph import parse_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -15,6 +16,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def graph_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Graph:
     size = n if n is not None else max(max(e) for e in edges)
     return Graph(size, tuple(edges))
+
+
+def fixture_graphs() -> list[Graph]:
+    """The graphs of the fixture edge lists, up to the 20-vertex system cap."""
+    graphs = [parse_graph(f.read_text()) for f in sorted(FIXTURES.glob("*.edges"))]
+    return [g for g in graphs if g.n <= 20]
 
 
 def three_block_graph() -> Graph:

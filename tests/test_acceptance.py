@@ -27,7 +27,7 @@ from pmsp import (
 )
 from pmsp.cli import main
 
-from .conftest import FIXTURES, decorated_even_cycle, three_block_graph
+from .conftest import FIXTURES, decorated_even_cycle, fixture_graphs, three_block_graph
 
 
 def test_c4_fixture_end_to_end():
@@ -159,8 +159,10 @@ def test_dilate_decompositions(connected_7, bipartite_8, pseudotrees_9):
                 assert idp_check(g, k, mode="normality").ok, (g.edges, k)
 
 
-def test_facet_flags_match_geometry(connected_7):
-    for g in connected_7:
+def test_facet_flags_match_geometry(connected_7, bipartite_8, pseudotrees_9):
+    """The Gorenstein search trusts the criterion facet flags; this checks
+    them against exact active-set ranks on every corpus the search meets."""
+    for g in [*connected_7, *bipartite_8, *pseudotrees_9, *fixture_graphs()]:
         report = verify_facet_flags(g)
         assert report.ok, (g.edges, report.disagreements)
 

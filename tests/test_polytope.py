@@ -1,7 +1,6 @@
 """Lattice points, inequality systems, normalization, and dilate checks."""
 
 import random
-from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -14,6 +13,7 @@ from pmsp import (
     DilateCheck,
     DisconnectedError,
     Graph,
+    InconsistentFacetsError,
     NotAFacetError,
     TooLargeError,
     bipartite_projection,
@@ -33,20 +33,21 @@ from pmsp import (
     path_graph,
     verify_facet_flags,
 )
-from pmsp.graph import bipartition, is_connected, parse_graph
+from pmsp.graph import bipartition, is_connected
 from pmsp.intlattice import affine_rank, dot
 from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
     _dilate_codes,
     _lattice_codes,
+    _lattice_reduce,
     _point_matrix,
     _row_values,
     _transport_flagged,
     facet_scan,
 )
 
-from .conftest import FIXTURES
+from .conftest import fixture_graphs
 
 
 class TestLatticePoints:
@@ -169,23 +170,15 @@ class TestVerifyFacetFlags:
 
 def _scan_cases(g):
     """(points, dim, rows, matrix) for the ambient inequality system and for
-    its rows transported to each normalization that applies."""
+    its rows transported to the point-lattice normalization."""
     pts = lattice_points(g)
     system = inequality_system(g, pts)
     yield pts.points, pts.lattice.rank, [(i.normal, i.rhs) for i in system], pts.matrix
     if len(pts.points) < 2:
         return
-    norms = [normalize_lattice(pts, system)]
-    if bipartition(g) is not None:
-        norms.append(bipartite_projection(g, pts, system))
-    for norm in norms:
-        rows = [(row.normal, row.rhs) for row in _transport_flagged(system, norm.transform)]
-        yield norm.points, norm.dim, rows, None
-
-
-def _fixture_graphs():
-    graphs = [parse_graph(f.read_text()) for f in sorted(FIXTURES.glob("*.edges"))]
-    return [g for g in graphs if g.n <= 20]
+    norm = normalize_lattice(pts, system)
+    rows = [(row.normal, row.rhs) for row in _transport_flagged(system, norm.transform)]
+    yield norm.points, norm.dim, rows, None
 
 
 class TestFacetScan:
@@ -193,7 +186,7 @@ class TestFacetScan:
         """The early stop at dim - 1 and the int64 product change no flag:
         each equals the full affine rank of the tight points, found with
         Python dot products, compared with dim - 1."""
-        graphs = [g for g in connected_7 if g.n <= 6] + _fixture_graphs()
+        graphs = [g for g in connected_7 if g.n <= 6] + fixture_graphs()
         checked = 0
         for g in graphs:
             for points, dim, rows, matrix in _scan_cases(g):
@@ -239,30 +232,7 @@ class TestFacetScan:
         assert values.tolist() == [3 * huge, -1]
 
 
-def _level_multiset(poly) -> Counter:
-    levels = Counter()
-    for ineq in poly.facets:
-        key = tuple(sorted({dot(ineq.normal, p) - ineq.rhs for p in poly.points}))
-        levels[key] += 1
-    return levels
-
-
 class TestNormalization:
-    def test_projection_matches_lattice_normalization(self, bipartite_8):
-        """Both normalizations are lattice isomorphisms of the same polytope,
-        so facet-level data must agree row for row."""
-        for g in bipartite_8:
-            pts = lattice_points(g)
-            if len(pts.points) < 2:
-                continue
-            system = inequality_system(g, pts)
-            proj = bipartite_projection(g, pts, system)
-            norm = normalize_lattice(pts, system)
-            assert proj.dim == norm.dim
-            assert len(proj.points) == len(norm.points)
-            assert len(proj.facets) == len(norm.facets)
-            assert _level_multiset(proj) == _level_multiset(norm)
-
     def test_projection_drops_last_coordinate(self):
         g = cycle_graph(4)
         proj = bipartite_projection(g)
@@ -328,6 +298,23 @@ class TestNormalization:
             checked += 1
         assert checked == len(bipartite_8) - 1
 
+    def test_points_reduced_as_one_matrix(self, connected_7):
+        """normalize_lattice reduces every point in one numpy pass; each row
+        equals the one-point reduction of `AffineLattice.coordinates`."""
+        for g in connected_7[::5]:
+            pts = lattice_points(g)
+            if len(pts) < 2:
+                continue
+            norm = normalize_lattice(pts, ())
+            assert norm.points == tuple(pts.lattice.coordinates(p) for p in pts.points)
+        lat = lattice_points(cycle_graph(5)).lattice
+        units = np.eye(5, dtype=np.int64)
+        coords, inside = _lattice_reduce(np.vstack([units, 2 * units]), 2, lat)
+        assert inside.tolist() == [False] * 5 + [True] * 5
+        assert [lat.to_ambient(c) for c in coords[5:].tolist()] == [
+            tuple(2 * (i == j) for j in range(5)) for i in range(5)
+        ]
+
     def test_nonbipartite_lattice_index_two(self):
         """For an odd cycle the point lattice is the even-coordinate-sum
         sublattice, so doubled unit vectors belong but units do not."""
@@ -355,6 +342,48 @@ class TestTransport:
             calls.clear()
             gorenstein_geometric(g)
             assert calls == [g.n]
+
+    def test_search_ranks_only_the_bound_rows(self, monkeypatch):
+        """The search takes its facet rows from the criterion flags: only a
+        nonbipartite graph's 2n bound rows are ranked, once, in ambient
+        coordinates."""
+        import pmsp.polytope as polytope
+
+        calls = []
+
+        def counted(points, stop=None):
+            calls.append(stop)
+            return affine_rank(points, stop)
+
+        monkeypatch.setattr(polytope, "affine_rank", counted)
+        for g, most in (
+            (cycle_graph(6), 0),
+            (complete_bipartite_graph(2, 3), 0),
+            (cycle_graph(5), 10),
+            (complete_graph(4), 8),
+        ):
+            calls.clear()
+            gorenstein_geometric(g)
+            assert len(calls) <= most, g.edges
+
+    def test_violated_row_raises(self, monkeypatch):
+        """A row that some lattice point violates stops the search, whether
+        or not its flag makes it a facet row."""
+        import pmsp.polytope as polytope
+
+        system = polytope.inequality_system
+
+        def tightened(g, pts=None):
+            return tuple(
+                AffineInequality(ineq.normal, 0, ineq.facet, ineq.source)
+                if ineq.source == "UpperOne(1)" else ineq
+                for ineq in system(g, pts)
+            )
+
+        monkeypatch.setattr(polytope, "inequality_system", tightened)
+        for g in (cycle_graph(6), complete_bipartite_graph(2, 3), cycle_graph(5), complete_graph(4)):
+            with pytest.raises(InconsistentFacetsError, match="violated by a lattice point"):
+                gorenstein_geometric(g)
 
     def test_oversized_basis_uses_python_ints(self):
         # 3e = 2^64 + 2 wraps to 2 in int64; 2^64 + 1 does not fit at all
