@@ -88,9 +88,14 @@ class VertexSet:
 
 
 class Graph:
-    """Immutable simple graph on vertices 1..n."""
+    """Immutable simple graph on vertices 1..n.
 
-    __slots__ = ("n", "edges", "adj", "adj_masks", "_hash")
+    `_tables` holds the graph's subset tables once `subsets.subset_tables`
+    has built them; they are derived data and take no part in equality,
+    hashing or JSON.
+    """
+
+    __slots__ = ("n", "edges", "adj", "adj_masks", "_hash", "_tables")
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -114,6 +119,7 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.adj_masks = tuple(masks)
         self._hash = hash((self.n, self.edges))
+        self._tables = None
 
     @property
     def full_mask(self) -> int:

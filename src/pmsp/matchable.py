@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotBipartiteError, TooLargeError
 from .graph import Graph, VertexSet, bipartition, mask_neighborhood, mask_vertices
-
-ENUMERATION_LIMIT = 20
+from .subsets import ENUMERATION_LIMIT, subset_tables
 
 
 def mask_perfectly_matchable(adj_masks, mask: int, memo: dict[int, bool]) -> bool:
@@ -69,33 +70,18 @@ class MatchableFamily:
 
 
 def matchable_subsets(g: Graph) -> MatchableFamily:
-    """The perfectly matchable subset family of g.
-
-    Bottom-up over bitmasks: a nonempty even set S is matchable iff its
-    minimum vertex can be matched to some neighbor v in S with S minus the
-    pair still matchable.  Budget: n <= 20.
+    """The perfectly matchable subset family of g, read off the graph's
+    matchable subset table (`subsets.SubsetTables.matchable`).  Budget:
+    n <= 20.
     """
     if g.n > ENUMERATION_LIMIT:
         raise TooLargeError(f"matchable_subsets supports n <= {ENUMERATION_LIMIT}")
-    size = 1 << g.n
-    good = bytearray(size)
-    good[0] = 1
-    adj = g.adj_masks
-    for mask in range(1, size):
-        if mask.bit_count() % 2:
-            continue
-        low = mask & -mask
-        u = low.bit_length()
-        rest = mask ^ low
-        for v in mask_vertices(adj[u] & rest):
-            if good[rest ^ (1 << (v - 1))]:
-                good[mask] = 1
-                break
-    members = [m for m in range(size) if good[m]]
-    members.sort(key=lambda m: (m.bit_count(), m))
+    tables = subset_tables(g)
+    members = np.flatnonzero(tables.matchable)
+    members = members[np.argsort(tables.popcount[members], kind="stable")]
     return MatchableFamily(
         universe=g.n,
-        subsets=tuple(VertexSet(m, g.n) for m in members),
+        subsets=tuple(VertexSet(m, g.n) for m in members.tolist()),
     )
 
 

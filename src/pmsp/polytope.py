@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .graph import (
     bipartition,
     cut_vertex_mask,
     is_connected,
-    mask_component,
     mask_components,
     mask_is_bipartite,
     mask_is_connected,
@@ -53,6 +52,7 @@ from .intlattice import (
     solve_unique_columns,
 )
 from .matchable import matchable_subsets
+from .subsets import CRITICAL, ENUMERATION_LIMIT, NONBIPARTITE, ODD_SET, subset_tables
 
 DILATE_VERTEX_LIMIT = 10
 
@@ -367,65 +367,40 @@ def _bound_rows(n: int) -> list[tuple[tuple[int, ...], int, str]]:
     ]
 
 
-def _odd_set_rows(g: Graph, matchable: bytes | None = None):
+def _odd_set_rows(g: Graph, flags: bool = False):
     """Yield (normal, rhs, facet, source) for every odd-set row: one per
     vertex set S whose induced components are single vertices or odd and
     nonbipartite, in increasing mask order, with rhs |S| - #components.
 
-    One pass over all masks in increasing order: a disconnected mask reads
-    its facts off the component of its lowest vertex and the rest, both
-    smaller masks.  With `matchable` (nonzero at the masks of perfectly
-    matchable sets) facet is the criterion: every component of S is
-    critical, every component outside S and its neighborhood N is
-    nonbipartite, and S + N stays connected without the edges inside N.
-    Without it the criterion is skipped and facet is None.
+    The sets and their facts are read off the graph's subset tables
+    (`subset_tables`).  With `flags` facet is the criterion: every
+    component of S is critical, every component outside S and its
+    neighborhood N is nonbipartite, and S + N stays connected without the
+    edges inside N.  Without it the criterion is skipped and facet is None.
     """
+    tables = subset_tables(g)
+    facts, count = tables.component_facts
+    masks = np.flatnonzero(facts & ODD_SET)[1:]  # mask 0 has no component
+    gams = tables.neighbors[masks] & ~masks
+    rhs = tables.popcount[masks] - count[masks]
+    criterion = repeat(False)
+    if flags:
+        outside = facts[g.full_mask & ~(masks | gams)]
+        criterion = ((facts[masks] & CRITICAL != 0) & (outside & NONBIPARTITE != 0)).tolist()
+    shifts = np.arange(g.n)
+    inside = masks[:, None] >> shifts & 1
+    normals = inside - (gams[:, None] >> shifts & 1)
+    labels = [str(v) for v in range(1, g.n + 1)]
     adj = g.adj_masks
-    n = g.n
-    size = 1 << n
-    flagged = matchable is not None
-    count = bytearray(size)  # components of a candidate, 0 otherwise
-    critical = bytearray(size)  # candidate whose components are all critical
-    nonbipartite = bytearray(size)  # mask whose components are all nonbipartite
-    nonbipartite[0] = 1
-    for mask in range(1, size):
-        low = mask & -mask
-        comp = mask_component(adj, mask, low)
-        if comp != mask:
-            rest = mask ^ comp
-            if count[comp] and count[rest]:
-                count[mask] = count[rest] + 1
-                critical[mask] = critical[comp] and critical[rest]
-            nonbipartite[mask] = nonbipartite[comp] and nonbipartite[rest]
-            continue
-        odd = mask.bit_count() % 2
-        if comp != low and (flagged or odd):
-            nonbipartite[mask] = not mask_is_bipartite(adj, mask)
-        if comp == low or (odd and nonbipartite[mask]):
-            count[mask] = 1
-            if flagged:
-                rest = mask
-                while rest and matchable[mask ^ (rest & -rest)]:
-                    rest &= rest - 1
-                critical[mask] = not rest
-    full = g.full_mask
-    masks = np.flatnonzero(np.frombuffer(count, dtype=np.uint8)).tolist()
-    gams = [mask_neighborhood(adj, s_mask) for s_mask in masks]
-    shifts = np.arange(n)
-    inside = np.array(masks, dtype=np.int64)[:, None] >> shifts & 1
-    normals = inside - (np.array(gams, dtype=np.int64)[:, None] >> shifts & 1)
-    labels = [str(v) for v in range(1, n + 1)]
-    for s_mask, gam, normal, members in zip(masks, gams, normals.tolist(), inside.tolist()):
+    for s_mask, gam, row_rhs, maybe, normal, members in zip(
+        masks.tolist(), gams.tolist(), rhs.tolist(), criterion, normals.tolist(), inside.tolist()
+    ):
         facet = None
-        if flagged:
-            facet = bool(
-                critical[s_mask]
-                and nonbipartite[full & ~(s_mask | gam)]
-                and _connected_after_internal_deletion(adj, s_mask, gam)
-            )
+        if flags:
+            facet = bool(maybe and _connected_after_internal_deletion(adj, s_mask, gam))
         yield (
             tuple(normal),
-            s_mask.bit_count() - count[s_mask],
+            row_rhs,
             facet,
             f"OddSet({','.join(compress(labels, members))})",
         )
@@ -454,9 +429,7 @@ def _nonbipartite_system(g: Graph, pts: PointSet) -> list[AffineInequality]:
         AffineInequality(normal, rhs, facet, source)
         for (normal, rhs, source), (_, facet) in zip(bounds, scan)
     ]
-    matchable = np.zeros(1 << g.n, dtype=np.uint8)
-    matchable[list(pts.masks)] = 1
-    rows += [AffineInequality(*row) for row in _odd_set_rows(g, matchable.tobytes())]
+    rows += [AffineInequality(*row) for row in _odd_set_rows(g, flags=True)]
     return rows
 
 
@@ -470,8 +443,10 @@ def inequality_system(g: Graph, pts: PointSet | None = None) -> tuple[AffineIneq
     """
     if not is_connected(g):
         raise DisconnectedError("inequality systems are defined per connected graph")
-    if g.n > 20:
-        raise TooLargeError(f"inequality system enumeration capped at 20 vertices, got {g.n}")
+    if g.n > ENUMERATION_LIMIT:
+        raise TooLargeError(
+            f"inequality system enumeration capped at {ENUMERATION_LIMIT} vertices, got {g.n}"
+        )
     if bipartition(g) is not None:
         return tuple(_bipartite_system(g))
     if pts is None:

@@ -28,6 +28,7 @@ def run_script(name: str, *argv) -> subprocess.CompletedProcess:
          "family 'bipartite' corpus capped at 9 vertices, got 10"),
         ("run_dilate_checks.py", ["--max-n", "11"],
          "family 'all' corpus capped at 8 vertices, got 11"),
+        ("measure_scale.py", ["--n", "21", "--m", "30"], "matchable_subsets supports n <= 20"),
     ],
 )
 def test_over_budget_exits_3_with_the_budget_message(name, argv, message):

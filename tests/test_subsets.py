@@ -1,0 +1,139 @@
+"""The subset tables against the per-mask loops they replace."""
+
+import random
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from pmsp import Graph, TooLargeError, brute_force_matchable, inequality_system, matchable_subsets
+from pmsp.graph import mask_component, mask_is_bipartite, mask_neighborhood
+from pmsp.matchable import mask_perfectly_matchable
+from pmsp.oracle import BRUTE_FORCE_LIMIT
+from pmsp.polytope import _connected_after_internal_deletion, _odd_set_rows
+from pmsp.subsets import subset_tables
+
+from .conftest import fixture_graphs
+
+
+def reference_odd_set_rows(g: Graph, matchable: frozenset[int]):
+    """The flagged odd-set rows by one pass over all masks in increasing
+    order, on the per-mask helpers of `pmsp.graph`: a disconnected mask
+    reads its facts off the component of its lowest vertex and the rest,
+    both smaller masks.  `matchable` holds the masks of the perfectly
+    matchable sets."""
+    adj = g.adj_masks
+    n = g.n
+    size = 1 << n
+    count = bytearray(size)  # components of a candidate, 0 otherwise
+    critical = bytearray(size)  # candidate whose components are all critical
+    nonbipartite = bytearray(size)  # mask whose components are all nonbipartite
+    nonbipartite[0] = 1
+    for mask in range(1, size):
+        low = mask & -mask
+        comp = mask_component(adj, mask, low)
+        if comp != mask:
+            rest = mask ^ comp
+            if count[comp] and count[rest]:
+                count[mask] = count[rest] + 1
+                critical[mask] = critical[comp] and critical[rest]
+            nonbipartite[mask] = nonbipartite[comp] and nonbipartite[rest]
+            continue
+        odd = mask.bit_count() % 2
+        if comp != low:
+            nonbipartite[mask] = not mask_is_bipartite(adj, mask)
+        if comp == low or (odd and nonbipartite[mask]):
+            count[mask] = 1
+            rest = mask
+            while rest and mask ^ (rest & -rest) in matchable:
+                rest &= rest - 1
+            critical[mask] = not rest
+    full = g.full_mask
+    for s_mask in range(size):
+        if not count[s_mask]:
+            continue
+        gam = mask_neighborhood(adj, s_mask)
+        facet = bool(
+            critical[s_mask]
+            and nonbipartite[full & ~(s_mask | gam)]
+            and _connected_after_internal_deletion(adj, s_mask, gam)
+        )
+        normal = tuple(
+            1 if s_mask >> i & 1 else -1 if gam >> i & 1 else 0 for i in range(n)
+        )
+        members = ",".join(str(v) for v in range(1, n + 1) if s_mask >> (v - 1) & 1)
+        yield normal, s_mask.bit_count() - count[s_mask], facet, f"OddSet({members})"
+
+
+def seeded_graphs() -> list[Graph]:
+    """Sparse, middling and dense G(n, m) for n = 9..14, connected or not."""
+    rng = random.Random(11)
+    graphs = []
+    for n in range(9, 15):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for m in (n + 1, 2 * n, len(pairs) // 2):
+            graphs.append(Graph(n, rng.sample(pairs, m)))
+    return graphs
+
+
+def compared_graphs(connected_7, pseudotrees_9) -> list[Graph]:
+    small_fixtures = [g for g in fixture_graphs() if g.n <= 14]
+    return connected_7 + pseudotrees_9 + small_fixtures + seeded_graphs()
+
+
+def matchable_masks(g: Graph) -> frozenset[int]:
+    """The matchable masks by brute force, or by the memoized branching
+    search over the brute-force budget."""
+    if g.n <= BRUTE_FORCE_LIMIT:
+        return brute_force_matchable(g).masks()
+    memo: dict[int, bool] = {}
+    return frozenset(m for m in range(1 << g.n) if mask_perfectly_matchable(g.adj_masks, m, memo))
+
+
+def test_tables_match_the_per_mask_loops(connected_7, pseudotrees_9):
+    """Unflagged rows are the flagged ones with facet None: the flags
+    change no candidate."""
+    for g in compared_graphs(connected_7, pseudotrees_9):
+        matchable = matchable_masks(g)
+        family = matchable_subsets(g)
+        assert [s.mask for s in family] == sorted(matchable, key=lambda m: (m.bit_count(), m))
+        expected = list(reference_odd_set_rows(g, matchable))
+        assert list(_odd_set_rows(g, flags=True)) == expected, g.edges
+        assert list(_odd_set_rows(g)) == [row[:2] + (None,) + row[3:] for row in expected]
+
+
+def test_tables_stay_out_of_equality_hash_and_json():
+    edges = ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5))
+    g, fresh = Graph(5, edges), Graph(5, edges)
+    inequality_system(g)
+    assert g._tables is not None and fresh._tables is None
+    assert g == fresh and hash(g) == hash(fresh)
+    assert g.to_json() == fresh.to_json()
+    assert subset_tables(g) is subset_tables(g)
+
+
+def test_over_budget_graph_allocates_no_table():
+    path = Graph(21, [(v, v + 1) for v in range(1, 21)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="subset tables support n <= 20"):
+            subset_tables(path)
+        with pytest.raises(TooLargeError, match="matchable_subsets supports n <= 20"):
+            matchable_subsets(path)
+        with pytest.raises(TooLargeError, match="capped at 20 vertices, got 21"):
+            inequality_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 21) // 4, peak  # one 2^21 table takes at least 2 MiB
+    assert path._tables is None
+    # the same accounting sees a table of the smallest dtype
+    tracemalloc.start()
+    try:
+        table = np.zeros(1 << 21, dtype=bool)
+        table[::4096] = True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= 1 << 21
