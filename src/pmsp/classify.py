@@ -20,6 +20,8 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    as_integer,
+    bipartite_cuts,
     bipartition,
     blocks_and_cut_vertices,
     connected_components,
@@ -28,12 +30,10 @@ from .graph import (
     is_connected,
     mask_components,
     mask_is_connected,
-    mask_neighborhood,
     mask_vertices,
-    proper_nonempty_submasks,
     pseudotree_profile,
 )
-from .matchable import ENUMERATION_LIMIT, has_perfect_matching, matchable_subsets
+from .matchable import has_perfect_matching, matchable_subsets
 from .polytope import (
     DILATE_VERTEX_LIMIT,
     DilateCheck,
@@ -42,6 +42,7 @@ from .polytope import (
     gorenstein_geometric,
     idp_check,
 )
+from .subsets import ENUMERATION_LIMIT
 
 ODD_CYCLE_VERTEX_LIMIT = 16
 SUBSET_SCAN_LIMIT = 20
@@ -110,18 +111,6 @@ def compressed_by_theorem(g: Graph) -> Verdict:
     return Verdict("compressed", True, "block-classification")
 
 
-def _both_connected_subsets(g: Graph, v1m: int, v2m: int):
-    """Proper nonempty subsets S of the first color class such that S plus
-    its neighborhood and the complementary pair both induce connected
-    subgraphs, with their neighborhoods."""
-    adj = g.adj_masks
-    for s in proper_nonempty_submasks(v1m):
-        gam = mask_neighborhood(adj, s)
-        rest = (v1m & ~s) | (v2m & ~gam)
-        if mask_is_connected(adj, s | gam) and mask_is_connected(adj, rest):
-            yield s, gam
-
-
 def _members(mask: int) -> list[int]:
     return list(mask_vertices(mask))
 
@@ -164,8 +153,8 @@ def gorenstein_bipartite(g: Graph) -> Verdict:
             witness={"reason": "no-perfect-matching"},
         )
     v1m, v2m = sides[0].mask, sides[1].mask
-    for s, gam in _both_connected_subsets(g, v1m, v2m):
-        if gam.bit_count() != s.bit_count() + 1:
+    for s, gam, facet in bipartite_cuts(g, v1m, v2m):
+        if facet and gam.bit_count() != s.bit_count() + 1:
             return Verdict(
                 "gorenstein",
                 False,
@@ -208,16 +197,15 @@ def solve_interior_vector(g: Graph) -> GorensteinCertificate | None:
         )
         if balance != 0:
             continue
-        ok = True
-        for s, gam in _both_connected_subsets(g, v1m, sides[1].mask):
-            surplus = sum(
+        if all(
+            sum(
                 a if (s >> i) & 1 else (-a if (gam >> i) & 1 else 0)
                 for i, a in enumerate(alpha)
             )
-            if surplus != -1:
-                ok = False
-                break
-        if ok:
+            == -1
+            for s, gam, facet in bipartite_cuts(g, v1m, sides[1].mask)
+            if facet
+        ):
             ambient = tuple(alpha)
             return GorensteinCertificate(index, ambient[:-1], ambient)
     return None
@@ -361,7 +349,11 @@ def gorenstein_complete_multipartite(shape) -> Verdict:
     p = 1 or p = q, and K_{1,1,q} with q <= 2 are Gorenstein; the other
     members of those families are not.  Remaining shapes raise.
     """
-    shape = tuple(sorted(int(s) for s in shape))
+    shape = tuple(shape)
+    sizes = [as_integer(s) for s in shape]
+    if None in sizes:
+        raise ValueError(f"part sizes must be integers, got {shape}")
+    shape = tuple(sorted(sizes))
     if not shape or shape[0] < 1:
         raise ValueError(f"invalid part sizes {shape}")
     method = "complete-multipartite-table"

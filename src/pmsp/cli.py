@@ -288,11 +288,7 @@ def _run_classify(g: Graph, args) -> int:
 
 
 def _run_sweep(args) -> int:
-    try:
-        spec = CorpusSpec(max_n=args.max_n if args.max_n is not None else 6, family=args.family)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = CorpusSpec(max_n=args.max_n if args.max_n is not None else 6, family=args.family)
     report = agreement_sweep(spec)
     if args.format == "json":
         out = report.to_jsonl(include_timing=args.timing)
@@ -312,6 +308,8 @@ def _run_sweep(args) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise PmspError("max_n must be at least 1")
     if args.verb == "sweep":
         return _run_sweep(args)
     g = read_graph(args)

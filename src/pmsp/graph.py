@@ -9,6 +9,7 @@ lexicographic edges) to keep downstream output byte-stable.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,6 +27,17 @@ def mask_vertices(mask: int):
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
+
+
+def as_integer(value) -> int | None:
+    """`value` as an int (numpy integers included), or None for a bool or a
+    value that is not integral."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -95,9 +107,12 @@ class Graph:
     hashing or JSON.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_masks", "_hash", "_tables")
+    __slots__ = ("n", "edges", "adj_masks", "_hash", "_tables")
 
     def __init__(self, n: int, edges) -> None:
+        n = as_integer(n)
+        if n is None:
+            raise GraphParseError("vertex count must be an integer")
         if n < 1:
             raise GraphParseError("vertex count must be at least 1")
         seen: set[tuple[int, int]] = set()
@@ -109,14 +124,10 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(sorted(seen))
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
         masks = [0] * (n + 1)
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
             masks[u] |= 1 << (v - 1)
             masks[v] |= 1 << (u - 1)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.adj_masks = tuple(masks)
         self._hash = hash((self.n, self.edges))
         self._tables = None
@@ -130,10 +141,10 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_masks[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        return tuple(mask_vertices(self.adj_masks[v]))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -323,12 +334,18 @@ def mask_is_connected(adj_masks, mask: int) -> bool:
     return mask_component(adj_masks, mask, mask & -mask) == mask
 
 
-def mask_is_bipartite(adj_masks, mask: int) -> bool:
-    """Two-colorability of the induced subgraph on `mask`: no breadth-first
-    layer of any component holds an edge (all other edges join adjacent layers)."""
+def mask_two_color(adj_masks, mask: int) -> int | None:
+    """Two-coloring of the induced subgraph on `mask`: the vertices at even
+    breadth-first depth from the lowest vertex of their component, or None
+    when some layer holds an edge (all other edges join adjacent layers)."""
+    even = 0
     while mask:
         seen = frontier = mask & -mask
+        at_even = True
         while frontier:
+            if at_even:
+                even |= frontier
+            at_even = not at_even
             reach = 0
             rest = frontier
             while rest:
@@ -337,11 +354,11 @@ def mask_is_bipartite(adj_masks, mask: int) -> bool:
                 rest ^= low
             reach &= mask
             if reach & frontier:
-                return False
+                return None
             frontier = reach & ~seen
             seen |= frontier
         mask &= ~seen
-    return True
+    return even
 
 
 def mask_neighborhood(adj_masks, mask: int) -> int:
@@ -378,70 +395,23 @@ def is_connected(g: Graph) -> bool:
     return mask_is_connected(g.adj_masks, g.full_mask)
 
 
-def _two_color(g: Graph):
-    """Return (colors, None) for bipartite g, else (None, odd closed walk).
-
-    Colors is a list indexed by vertex with 0 for the side of each component's
-    minimum vertex.  The walk witness is a vertex sequence of odd length
-    closing on itself.
-    """
-    color: list[int | None] = [None] * (g.n + 1)
-    parent = [0] * (g.n + 1)
-    for start in g.vertices():
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in g.adj[v]:
-                if color[w] is None:
-                    color[w] = color[v] ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None, _odd_walk(parent, v, w)
-    return color, None
-
-
-def _odd_walk(parent, u: int, v: int) -> tuple[int, ...]:
-    # ancestors of u up to the root, then the v-side climbed to the meet point
-    up = [u]
-    depth = {u: 0}
-    x = u
-    while parent[x]:
-        x = parent[x]
-        depth[x] = len(up)
-        up.append(x)
-    x = v
-    right = []
-    while x not in depth:
-        right.append(x)
-        x = parent[x]
-    left = up[: depth[x] + 1]
-    return tuple(left + right[::-1])
-
-
 def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """Deterministic 2-coloring: each component's minimum vertex lands in V1."""
-    color, _ = _two_color(g)
-    if color is None:
+    m1 = mask_two_color(g.adj_masks, g.full_mask)
+    if m1 is None:
         return None
-    m1 = m2 = 0
-    for v in g.vertices():
-        if color[v] == 0:
-            m1 |= 1 << (v - 1)
-        else:
-            m2 |= 1 << (v - 1)
-    return VertexSet(m1, g.n), VertexSet(m2, g.n)
+    return VertexSet(m1, g.n), VertexSet(g.full_mask ^ m1, g.n)
 
 
-def odd_closed_walk(g: Graph) -> tuple[int, ...] | None:
-    """A closed walk of odd length if one exists (g nonbipartite), else None."""
-    _, walk = _two_color(g)
-    return walk
+def bipartite_cuts(g: Graph, v1m: int, v2m: int):
+    """Yield (S, N(S), facet) for every proper nonempty subset S of the color
+    class `v1m`, sorted by (cardinality, bitmask); facet holds when S plus
+    N(S) and the complementary pair both induce connected subgraphs."""
+    adj = g.adj_masks
+    for s in proper_nonempty_submasks(v1m):
+        gam = mask_neighborhood(adj, s)
+        rest = (v1m & ~s) | (v2m & ~gam)
+        yield s, gam, mask_is_connected(adj, s | gam) and mask_is_connected(adj, rest)
 
 
 @dataclass(frozen=True)
@@ -479,7 +449,7 @@ def _block_scan(g: Graph):
         timer += 1
         root_children = 0
         frames: list[tuple[int, int]] = [(root, 0)]
-        iters = {root: iter(g.adj[root])}
+        iters = {root: mask_vertices(g.adj_masks[root])}
         while frames:
             v, parent = frames[-1]
             descended = False
@@ -493,7 +463,7 @@ def _block_scan(g: Graph):
                     if v == root:
                         root_children += 1
                     frames.append((w, v))
-                    iters[w] = iter(g.adj[w])
+                    iters[w] = mask_vertices(g.adj_masks[w])
                     descended = True
                     break
                 if disc[w] < disc[v]:
@@ -574,11 +544,6 @@ def classify_block(g: Graph) -> BlockKind:
     return BlockKind("Other")
 
 
-def neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """Vertices outside s adjacent to some vertex of s."""
-    return VertexSet(mask_neighborhood(g.adj_masks, s.mask), g.n)
-
-
 def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     """Induced subgraph relabelled to 1..|s| preserving label order.
 
@@ -592,41 +557,6 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
         (index[u], index[v]) for u, v in g.edges if u in index and v in index
     ]
     return Graph(len(members), edges)
-
-
-def has_odd_cycle_ge5(g: Graph) -> bool:
-    """True iff g contains an odd cycle of length at least five as a subgraph.
-
-    Decided block by block: a block contributes such a cycle exactly when it
-    is nonbipartite and neither K4 nor K_{1,1,q}.
-    """
-    raw_blocks, _ = _block_scan(g)
-    for block in raw_blocks:
-        verts = sorted({v for e in block for v in e})
-        mask = sum(1 << (v - 1) for v in verts)
-        if mask_is_bipartite(g.adj_masks, mask):
-            continue
-        kind = classify_block(induced_subgraph(g, VertexSet(mask, g.n)))
-        if kind.name not in ("K4", "K11n"):
-            return True
-    return False
-
-
-def is_critical(g: Graph) -> bool:
-    """Odd order and every single-vertex deletion is perfectly matchable.
-
-    Single vertices are critical (deleting one leaves the empty matching).
-    """
-    if g.n % 2 == 0:
-        return False
-    from .matchable import mask_perfectly_matchable
-
-    memo: dict[int, bool] = {}
-    full = g.full_mask
-    return all(
-        mask_perfectly_matchable(g.adj_masks, full ^ (1 << (v - 1)), memo)
-        for v in g.vertices()
-    )
 
 
 @dataclass(frozen=True)

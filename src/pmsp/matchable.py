@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBipartiteError, TooLargeError
-from .graph import Graph, VertexSet, bipartition, mask_neighborhood, mask_vertices
+from .graph import (
+    Graph,
+    VertexSet,
+    bipartition,
+    mask_neighborhood,
+    mask_vertices,
+    proper_nonempty_submasks,
+)
 from .subsets import ENUMERATION_LIMIT, subset_tables
 
 
@@ -69,19 +76,20 @@ class MatchableFamily:
         return [list(s.members()) for s in self.subsets]
 
 
-def matchable_subsets(g: Graph) -> MatchableFamily:
-    """The perfectly matchable subset family of g, read off the graph's
-    matchable subset table (`subsets.SubsetTables.matchable`).  Budget:
-    n <= 20.
+def matchable_masks(g: Graph) -> np.ndarray:
+    """Masks of the perfectly matchable sets of g, sorted by (cardinality,
+    bitmask), read off the graph's subset tables.  Budget: n <= 20.
     """
     if g.n > ENUMERATION_LIMIT:
         raise TooLargeError(f"matchable_subsets supports n <= {ENUMERATION_LIMIT}")
-    tables = subset_tables(g)
-    members = np.flatnonzero(tables.matchable)
-    members = members[np.argsort(tables.popcount[members], kind="stable")]
+    return subset_tables(g).matchable_masks
+
+
+def matchable_subsets(g: Graph) -> MatchableFamily:
+    """The perfectly matchable subset family of g.  Budget: n <= 20."""
     return MatchableFamily(
         universe=g.n,
-        subsets=tuple(VertexSet(m, g.n) for m in members.tolist()),
+        subsets=tuple(VertexSet(m, g.n) for m in matchable_masks(g).tolist()),
     )
 
 
@@ -94,23 +102,12 @@ def hall_violations(g: Graph, side: VertexSet) -> list[VertexSet]:
     if bipartition(g) is None:
         raise NotBipartiteError("hall_violations requires a bipartite graph")
     other = g.full_mask & ~side.mask
-    for v in side:
-        if g.adj_masks[v] & side.mask:
-            raise NotBipartiteError("side is not an independent side of g")
-    for v in mask_vertices(other):
-        if g.adj_masks[v] & other:
-            raise NotBipartiteError("side is not an independent side of g")
-    k = len(side)
-    if k > ENUMERATION_LIMIT:
+    if any(g.adj_masks[v] & m for m in (side.mask, other) for v in mask_vertices(m)):
+        raise NotBipartiteError("side is not an independent side of g")
+    if len(side) > ENUMERATION_LIMIT:
         raise TooLargeError(f"hall_violations supports |side| <= {ENUMERATION_LIMIT}")
-    members = side.members()
-    out = []
-    for sub in range(1, 1 << k):
-        mask = 0
-        for i in range(k):
-            if sub >> i & 1:
-                mask |= 1 << (members[i] - 1)
-        if mask.bit_count() > mask_neighborhood(g.adj_masks, mask).bit_count():
-            out.append(mask)
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return [VertexSet(m, g.n) for m in out]
+    return [
+        VertexSet(m, g.n)
+        for m in proper_nonempty_submasks(side.mask) + [side.mask]
+        if m.bit_count() > mask_neighborhood(g.adj_masks, m).bit_count()
+    ]

@@ -31,15 +31,13 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    bipartite_cuts,
     bipartition,
     cut_vertex_mask,
     is_connected,
     mask_components,
-    mask_is_bipartite,
-    mask_is_connected,
-    mask_neighborhood,
+    mask_two_color,
     mask_vertices,
-    proper_nonempty_submasks,
 )
 from .intlattice import (
     INT64_SAFE,
@@ -51,7 +49,7 @@ from .intlattice import (
     primitivize,
     solve_unique_columns,
 )
-from .matchable import matchable_subsets
+from .matchable import matchable_masks
 from .subsets import CRITICAL, ENUMERATION_LIMIT, NONBIPARTITE, ODD_SET, subset_tables
 
 DILATE_VERTEX_LIMIT = 10
@@ -105,12 +103,11 @@ class AffineLattice:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Indicator vectors of the matchable sets `masks`, as tuples and as the
-    0/1 rows of an int64 `matrix`, plus the affine lattice they span."""
+    """Indicator vectors of the matchable sets, as tuples and as the 0/1
+    rows of an int64 `matrix`, plus the affine lattice they span."""
 
     ambient_n: int
     points: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
     matrix: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
@@ -262,16 +259,14 @@ def _lattice_reduce(
 
 def lattice_points(g: Graph) -> PointSet:
     """All lattice points of the polytope: indicators of matchable sets."""
-    masks = tuple(s.mask for s in matchable_subsets(g).subsets)
-    matrix = np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n) & 1
-    pts = tuple(map(tuple, matrix.tolist()))
-    return PointSet(g.n, pts, masks, matrix)
+    matrix = matchable_masks(g)[:, None] >> np.arange(g.n) & 1
+    return PointSet(g.n, tuple(map(tuple, matrix.tolist())), matrix)
 
 
 def dimension(g: Graph) -> int:
     """Dimension of the polytope: n minus the number of bipartite components."""
     comps = mask_components(g.adj_masks, g.full_mask)
-    return g.n - sum(mask_is_bipartite(g.adj_masks, c) for c in comps)
+    return g.n - sum(mask_two_color(g.adj_masks, c) is not None for c in comps)
 
 
 _VALUES_BLOCK = 1 << 14  # row values (rows x points) multiplied out at a time
@@ -339,14 +334,9 @@ def _bipartite_system(g: Graph) -> list[AffineInequality]:
         else:
             facet = g.degree(v) >= 2
         rows.append(AffineInequality(normal, 1, facet, f"UpperOne({v})"))
-    for sub in proper_nonempty_submasks(v1m):
-        gam = mask_neighborhood(g.adj_masks, sub)
+    for sub, gam, facet in bipartite_cuts(g, v1m, v2m):
         normal = tuple(
             1 if sub >> i & 1 else (-1 if gam >> i & 1 else 0) for i in range(n)
-        )
-        rest = (v1m & ~sub) | (v2m & ~gam)
-        facet = mask_is_connected(g.adj_masks, sub | gam) and mask_is_connected(
-            g.adj_masks, rest
         )
         members = ",".join(str(v) for v in mask_vertices(sub))
         rows.append(AffineInequality(normal, 0, facet, f"BipartiteCut({members})"))

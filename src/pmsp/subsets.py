@@ -2,10 +2,11 @@
 
 Entry m of every table describes the vertex set with bitmask m, so a fact
 about a subset is one array lookup, and a fact about all subsets is one
-numpy pass.  The perfectly matchable family (`matchable_subsets`) and the
-odd-set rows of the inequality system (`polytope.inequality_system`) read
-their facts from here.  A graph keeps its tables (`subset_tables`), so the
-several questions asked about one graph build them once.
+numpy pass.  The perfectly matchable family (`matchable_subsets`), the
+lattice points (`polytope.lattice_points`) and the odd-set rows of the
+inequality system (`polytope.inequality_system`) read their facts from
+here.  A graph keeps its tables (`subset_tables`), so the several
+questions asked about one graph build them once.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ class SubsetTables:
                 if self.adj_masks[i + 1] >> j & 1:
                     block.reshape(-1, 2, 1 << j)[:, 1] |= lower.reshape(-1, 2, 1 << j)[:, 0]
         return good
+
+    @cached_property
+    def matchable_masks(self) -> np.ndarray:
+        """The masks where `matchable` holds, sorted by (popcount, mask)."""
+        masks = np.flatnonzero(self.matchable)
+        return masks[np.argsort(self.popcount[masks], kind="stable")]
 
     @cached_property
     def component_facts(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Structural deciders: compressedness, Gorensteinness, odd cycle condition."""
 
+import numpy as np
 import pytest
 
 from pmsp import (
@@ -197,6 +198,15 @@ class TestMultipartite:
     def test_unsupported_shape(self):
         with pytest.raises(UnsupportedShapeError):
             gorenstein_complete_multipartite((2, 2, 2))
+
+    @pytest.mark.parametrize("shape", [[2.7, True], [1, 2.0], [np.bool_(True), 2], ["1", 2]])
+    def test_rejects_non_integer_sizes(self, shape):
+        with pytest.raises(ValueError, match="part sizes must be integers"):
+            gorenstein_complete_multipartite(shape)
+
+    def test_numpy_sizes_accepted(self):
+        verdict = gorenstein_complete_multipartite(np.array([3, 3]))
+        assert verdict.value and verdict.witness["shape"] == [3, 3]
 
 
 class TestOddCycleCondition:

@@ -92,6 +92,19 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: max_n must be at least 1\n"
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "verb",
+        ["points", "facets", "dim", "matchable", "check-compressed",
+         "check-gorenstein", "check-normal", "classify"],
+    )
+    def test_graph_verb_cap_below_one_is_a_usage_error(self, capsys, verb, max_n):
+        # exit 3 would read as a graph over the budget
+        code, out, err = run_cli(capsys, verb, "--input", "1 2;2 3", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_n must be at least 1\n"
+
     def test_gorenstein_false(self, capsys):
         code, out, _ = run_cli(capsys, "check-gorenstein", "--input", K23)
         assert code == 1

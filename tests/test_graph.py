@@ -2,8 +2,10 @@
 
 import json
 
+import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pmsp import (
@@ -18,22 +20,18 @@ from pmsp import (
     complete_multipartite_graph,
     connected_components,
     cycle_graph,
+    dimension,
     induced_subgraph,
     is_connected,
+    lattice_points,
     line_graph,
     parse_graph,
     parse_graph_json,
     path_graph,
     pseudotree_profile,
 )
-from pmsp.graph import (
-    classify_block,
-    cut_vertex_mask,
-    has_odd_cycle_ge5,
-    is_critical,
-    neighborhood,
-    odd_closed_walk,
-)
+from pmsp.graph import classify_block, cut_vertex_mask
+from pmsp.intlattice import affine_rank
 
 from .conftest import FIXTURES, three_block_graph
 
@@ -84,6 +82,16 @@ class TestParsing:
         g = parse_graph("1 2\n2 1\n1 2\n")
         assert g.edge_count == 1
 
+    @pytest.mark.parametrize("n", [True, 3.0, 2.7, "3"])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(GraphParseError, match="vertex count must be an integer"):
+            Graph(n, [])
+
+    def test_numpy_vertex_count_becomes_int(self):
+        g = Graph(np.int64(3), [(1, 2)])
+        assert g.to_json() == {"n": 3, "edges": [[1, 2]]}
+        assert type(g.n) is int
+
 
 class TestVertexSet:
     def test_members_sorted(self):
@@ -122,20 +130,24 @@ class TestBipartition:
     def test_odd_cycle_returns_none(self):
         assert bipartition(cycle_graph(5)) is None
 
-    def test_odd_walk_reported(self):
-        walk = odd_closed_walk(cycle_graph(5))
-        assert walk is not None
-        assert len(walk) % 2 == 1 or walk[0] == walk[-1]
-
     @given(st.integers(min_value=3, max_value=9))
     def test_cycle_parity(self, n):
-        g = cycle_graph(n)
-        if n % 2 == 0:
-            assert bipartition(g) is not None
-            assert odd_closed_walk(g) is None
-        else:
-            assert bipartition(g) is None
-            assert odd_closed_walk(g) is not None
+        assert (bipartition(cycle_graph(n)) is not None) == (n % 2 == 0)
+
+    @seed(20240)
+    @settings(max_examples=80, deadline=None)
+    @given(random_graph_strategy())
+    def test_two_coloring_and_dimension(self, g):
+        sides = bipartition(g)
+        nxg = nx.Graph(g.edges)
+        nxg.add_nodes_from(g.vertices())
+        assert (sides is not None) == nx.is_bipartite(nxg)
+        if sides is not None:
+            v1, v2 = sides
+            assert v1.mask | v2.mask == g.full_mask and not v1.mask & v2.mask
+            assert all((u in v1) != (v in v1) for u, v in g.edges)
+            assert all(min(c) in v1 for c in connected_components(g))
+        assert dimension(g) == affine_rank(lattice_points(g).points)
 
 
 class TestBlocks:
@@ -191,11 +203,6 @@ class TestInducedSubgraph:
         assert sub.n == 3
         assert sub.edges == ((1, 2),)
 
-    def test_neighborhood_excludes_set(self):
-        g = cycle_graph(5)
-        s = VertexSet.from_vertices([1, 2], 5)
-        assert neighborhood(g, s).members() == (3, 5)
-
 
 class TestFamilies:
     def test_pseudotree_profile_of_tree(self):
@@ -220,17 +227,6 @@ class TestFamilies:
 
     def test_too_many_edges_not_pseudotree(self):
         assert pseudotree_profile(complete_graph(4)) is None
-
-    def test_has_odd_cycle_ge5(self):
-        assert has_odd_cycle_ge5(cycle_graph(5))
-        assert not has_odd_cycle_ge5(complete_graph(3))
-        assert not has_odd_cycle_ge5(cycle_graph(6))
-        assert has_odd_cycle_ge5(complete_graph(5))
-
-    def test_critical_odd_cycle(self):
-        assert is_critical(cycle_graph(5))
-        assert not is_critical(cycle_graph(6))
-        assert not is_critical(path_graph(3))
 
 
 class TestLineGraph:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pmsp import Graph, TooLargeError, brute_force_matchable, inequality_system, matchable_subsets
-from pmsp.graph import mask_component, mask_is_bipartite, mask_neighborhood
+from pmsp.graph import mask_component, mask_neighborhood, mask_two_color
 from pmsp.matchable import mask_perfectly_matchable
 from pmsp.oracle import BRUTE_FORCE_LIMIT
 from pmsp.polytope import _connected_after_internal_deletion, _odd_set_rows
@@ -42,7 +42,7 @@ def reference_odd_set_rows(g: Graph, matchable: frozenset[int]):
             continue
         odd = mask.bit_count() % 2
         if comp != low:
-            nonbipartite[mask] = not mask_is_bipartite(adj, mask)
+            nonbipartite[mask] = mask_two_color(adj, mask) is None
         if comp == low or (odd and nonbipartite[mask]):
             count[mask] = 1
             rest = mask
