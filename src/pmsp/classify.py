@@ -33,7 +33,7 @@ from .graph import (
     mask_vertices,
     pseudotree_profile,
 )
-from .matchable import has_perfect_matching, matchable_subsets
+from .matchable import has_perfect_matching, matchable_masks
 from .polytope import (
     DILATE_VERTEX_LIMIT,
     DilateCheck,
@@ -502,7 +502,7 @@ class ClassificationReport:
         }
 
 
-def classify_all(g: Graph, include_dilates: bool = True) -> ClassificationReport:
+def classify_all(g: Graph) -> ClassificationReport:
     """Classify every component and conjoin the component verdicts.
 
     The polytope of a disconnected graph is the product of the component
@@ -518,14 +518,12 @@ def classify_all(g: Graph, include_dilates: bool = True) -> ClassificationReport
             odd_cycle_condition(sub) if sub.n <= ODD_CYCLE_VERTEX_LIMIT else None
         )
         dilates: tuple[DilateCheck, ...] = ()
-        if include_dilates and sub.n <= DILATE_VERTEX_LIMIT:
+        if sub.n <= DILATE_VERTEX_LIMIT:
             dilates = (
                 idp_check(sub, 2, "normality"),
                 idp_check(sub, 2, "idp"),
             )
-        count = (
-            len(matchable_subsets(sub)) if sub.n <= ENUMERATION_LIMIT else None
-        )
+        count = len(matchable_masks(sub)) if sub.n <= ENUMERATION_LIMIT else None
         reports.append(
             ComponentReport(
                 vertices=comp.members(),

@@ -1,23 +1,33 @@
-"""Exact integer linear algebra: ranks, Hermite bases, small linear solves.
+"""Exact integer linear algebra: ranks, lattice bases, small linear solves.
 
 Everything here is exact; no floating point.  Elimination runs on
 arbitrary-precision Python integers, and solutions come out as Fractions.
-`affine_rank` screens large point sets against an integer kernel basis, a
-chunk at a time, with numpy products: in int64 when no value can reach
-INT64_SAFE, in Python integers (object arrays) otherwise.  Conventions: row-style Hermite normal
-form with strictly increasing pivot columns, positive pivots, and entries
-above each pivot reduced into [0, pivot).
+`affine_rank` reads the points as the rows of an integer array
+(`_point_matrix`: int64, or Python integers in an object array when a value
+does not fit) and screens large point sets against an integer kernel basis,
+a chunk at a time, with numpy products: in int64 when no value can reach
+INT64_SAFE, in Python integers otherwise.  `hnf_rows` returns an echelon
+basis of the row lattice: strictly increasing pivot columns and positive
+pivots; the entries above a pivot are not reduced to a canonical range.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, lcm
 
 import numpy as np
 
 INT64_SAFE = 1 << 62  # bound on |values| for which int64 products are exact
+
+
+def _point_matrix(points) -> np.ndarray:
+    """Points as the rows of an int64 array, or of Python ints if one overflows."""
+    try:
+        return np.array(points, dtype=np.int64)
+    except OverflowError:
+        return np.array(points, dtype=object)
 
 
 def dot(a, b) -> int:
@@ -96,25 +106,22 @@ class IntRowBasis:
         return kernel
 
 
-def _outside_span(kernel: list[list[int]], points: list, base) -> list[int]:
-    """Indices of the points p with a nonzero product of p - base against
-    some kernel row, i.e. outside the affine span the kernel annihilates.
-    One numpy product, in int64 when no partial sum can reach INT64_SAFE
-    and in Python integers (object arrays) otherwise."""
+def _outside_span(kernel: list[list[int]], points: np.ndarray, base) -> list[int]:
+    """Indices of the rows p of `points` with a nonzero product of p - base
+    against some kernel row, i.e. outside the affine span the kernel
+    annihilates.  One numpy product, in int64 when no partial sum can reach
+    INT64_SAFE and in Python integers (object arrays) otherwise."""
     width = len(base) * max(abs(x) for row in kernel for x in row)
-    try:
-        matrix = np.array(points, dtype=np.int64)
-        top = max(int(matrix.max()), -int(matrix.min()), *map(abs, base))
-    except OverflowError:
-        matrix, top = np.array(points, dtype=object), INT64_SAFE
+    top = max(int(points.max()), -int(points.min()), *map(abs, base))
     dtype = np.int64 if 2 * top * width < INT64_SAFE else object
-    diffs = matrix.astype(dtype) - np.array(base, dtype=dtype)
+    diffs = points.astype(dtype) - np.array(base, dtype=dtype)
     products = diffs @ np.array(kernel, dtype=dtype).T
     return np.flatnonzero(products.any(axis=1)).tolist()
 
 
 def affine_rank(points, stop: int | None = None) -> int:
-    """Affine dimension of a point set: -1 for empty, 0 for a single point.
+    """Affine dimension of the rows of an integer array (any other point
+    list goes through `_point_matrix`): -1 for none, 0 for a single point.
 
     With `stop`, elimination ends as soon as the rank reaches it, so the
     result is min(rank, stop) for any stop >= 0; stop defaults to the
@@ -125,35 +132,42 @@ def affine_rank(points, stop: int | None = None) -> int:
     kernel over Q, so only differences with a nonzero kernel product can
     raise the rank, and only they are eliminated.
     """
-    it = iter(points)
-    try:
-        base = next(it)
-    except StopIteration:
+    if not isinstance(points, np.ndarray):
+        points = _point_matrix(points)
+    if not len(points):
         return -1
+    base = points[0].tolist()
     n = len(base)
     stop = n if stop is None else min(stop, n)
     if stop == 0:
         return 0
     basis = IntRowBasis()
     size = 2 * (stop + 1)
-    for p in islice(it, size):
+    for p in points[1 : size + 1].tolist():
         if basis.add([x - y for x, y in zip(p, base)]) and basis.rank == stop:
             return stop
     kernel = None
-    while chunk := list(islice(it, size)):
+    start = size + 1
+    while start < len(points):
+        chunk = points[start : start + size]
         if kernel is None:
             kernel = basis.kernel(n)
         for i in _outside_span(kernel, chunk, base):
-            if basis.add([x - y for x, y in zip(chunk[i], base)]):
+            if basis.add([x - y for x, y in zip(chunk[i].tolist(), base)]):
                 if basis.rank == stop:
                     return stop
                 kernel = None
+        start += size
         size *= 2
     return basis.rank
 
 
 def hnf_rows(rows) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Hermite normal form of the row lattice; returns (basis rows, pivot columns)."""
+    """Echelon basis of the row lattice: (basis rows, pivot columns), the
+    pivot columns strictly increasing and the pivots positive.  Rows are
+    reduced against the later pivots from the last pivot up, and each step
+    can move entries an earlier step reduced, so the entries above a pivot
+    need not lie in [0, pivot)."""
     work = [list(r) for r in rows if any(r)]
     if not work:
         return [], []

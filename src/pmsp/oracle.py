@@ -85,7 +85,7 @@ def sullivant_compressed(g: Graph):
     pts = lattice_points(g)
     system = inequality_system(g, pts)
     rows = [(ineq.normal, ineq.rhs) for ineq in system]
-    scan = facet_scan(pts.points, pts.lattice.rank, rows, pts.matrix)
+    scan = facet_scan(pts.matrix, pts.lattice.rank, rows)
     for ineq, (values, facet) in zip(system, scan):
         if not facet:
             continue
@@ -108,7 +108,6 @@ class CorpusSpec:
 
     max_n: int
     family: str = "all"
-    connected_only: bool = True
     dedup: bool = True
 
     def __post_init__(self) -> None:
@@ -116,8 +115,6 @@ class CorpusSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.max_n < 1:
             raise ValueError("max_n must be at least 1")
-        if not self.connected_only:
-            raise ValueError("only connected corpora are supported")
         cap = CORPUS_CAPS[self.family] if self.dedup else LABELED_CAP
         if self.max_n > cap:
             raise TooLargeError(

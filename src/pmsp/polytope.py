@@ -7,6 +7,12 @@ per-row facet flags, normalizes away the affine hull, and decides geometric
 properties (facet ranks, Gorenstein interior vectors, dilate decompositions)
 in exact integer arithmetic.
 
+A point set is one integer matrix, one row per point: the 0/1 rows of
+`PointSet.matrix`, or the coordinate rows `normalize_lattice` reduces.  The
+facet scans, ranks, facet levels and the normalization guard read those
+rows; the tuples of `PointSet.points` and `NormalizedPolytope.points` are
+the public view.
+
 There is one normalization: points and rows are rewritten in the Hermite
 basis of the lattice the points span (`normalize_lattice`).  For a connected
 bipartite graph that basis is e_i +- e_n, so the map drops the last
@@ -41,6 +47,7 @@ from .graph import (
 )
 from .intlattice import (
     INT64_SAFE,
+    _point_matrix,
     affine_rank,
     as_integer_vector,
     dot,
@@ -103,8 +110,9 @@ class AffineLattice:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Indicator vectors of the matchable sets, as tuples and as the 0/1
-    rows of an int64 `matrix`, plus the affine lattice they span."""
+    """Indicator vectors of the matchable sets, as the 0/1 rows of an int64
+    `matrix` (what every scan reads) and as tuples, plus the affine lattice
+    they span."""
 
     ambient_n: int
     points: tuple[tuple[int, ...], ...]
@@ -272,14 +280,6 @@ def dimension(g: Graph) -> int:
 _VALUES_BLOCK = 1 << 14  # row values (rows x points) multiplied out at a time
 
 
-def _point_matrix(points) -> np.ndarray:
-    """Points as the rows of an int64 array, or of Python ints if one overflows."""
-    try:
-        return np.array(points, dtype=np.int64)
-    except OverflowError:
-        return np.array(points, dtype=object)
-
-
 def _row_values(normals, matrix: np.ndarray):
     """Yield one array of exact values `normal . x` over the rows x of
     `matrix` per normal: in int64 when no partial sum can reach INT64_SAFE,
@@ -296,22 +296,18 @@ def _row_values(normals, matrix: np.ndarray):
         yield from normals[start : start + step] @ points_t
 
 
-def facet_scan(points, dim: int, rows, matrix: np.ndarray | None = None):
+def facet_scan(matrix: np.ndarray, dim: int, rows):
     """Yield (values, facet) per row (normal, rhs): `normal . p` for every
-    point p, and whether the row's tight points have affine rank dim - 1,
-    dim being the rank of all the points.  Tight on some but not all points,
-    a row cuts their affine hull in a hyperplane, so the rank cannot pass
-    dim - 1 and elimination stops there.  Validity is left to the caller.
+    row p of `matrix`, and whether the row's tight points have affine rank
+    dim - 1, dim being the rank of all the points.  Tight on some but not
+    all points, a row cuts their affine hull in a hyperplane, so the rank
+    cannot pass dim - 1 and elimination stops there.  Validity is left to
+    the caller.
     """
-    if matrix is None:
-        matrix = _point_matrix(points)
-    total = len(points)
     normals = [normal for normal, _ in rows]
     for (_, rhs), values in zip(rows, _row_values(normals, matrix)):
-        tight = np.flatnonzero(values == rhs).tolist()
-        facet = 0 < len(tight) < total and affine_rank(
-            [points[i] for i in tight], dim - 1
-        ) == dim - 1
+        tight = np.flatnonzero(values == rhs)
+        facet = 0 < len(tight) < len(matrix) and affine_rank(matrix[tight], dim - 1) == dim - 1
         yield values, facet
 
 
@@ -414,7 +410,7 @@ def _connected_after_internal_deletion(adj_masks, s_mask: int, gam: int) -> bool
 
 def _nonbipartite_system(g: Graph, pts: PointSet) -> list[AffineInequality]:
     bounds = _bound_rows(g.n)
-    scan = facet_scan(pts.points, g.n, [row[:2] for row in bounds], pts.matrix)
+    scan = facet_scan(pts.matrix, g.n, [row[:2] for row in bounds])
     rows = [
         AffineInequality(normal, rhs, facet, source)
         for (normal, rhs, source), (_, facet) in zip(bounds, scan)
@@ -456,7 +452,8 @@ def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
     """
     if not ineq.facet:
         raise NotAFacetError(f"row {ineq.source} is not flagged as a facet")
-    return tuple(sorted({ineq.value(p) - ineq.rhs for p in pts.points}))
+    (values,) = _row_values([ineq.normal], pts.matrix)
+    return tuple(v - ineq.rhs for v in np.unique(values).tolist())
 
 
 def verify_facet_flags(g: Graph) -> FacetCheckReport:
@@ -466,7 +463,7 @@ def verify_facet_flags(g: Graph) -> FacetCheckReport:
     dim = pts.lattice.rank
     rows = [(ineq.normal, ineq.rhs) for ineq in system]
     disagreements = []
-    for ineq, (values, facet) in zip(system, facet_scan(pts.points, dim, rows, pts.matrix)):
+    for ineq, (values, facet) in zip(system, facet_scan(pts.matrix, dim, rows)):
         valid = bool(values.max() <= ineq.rhs)
         geometric = valid and facet
         if not valid or geometric != ineq.facet:
@@ -531,7 +528,8 @@ def bipartite_projection(
 
 def normalize_lattice(pts: PointSet, system) -> NormalizedPolytope:
     """Rewrite the polytope and every row of `system` in coordinates of the
-    lattice its points span."""
+    lattice its points span.  A row that some lattice point violates raises
+    InconsistentFacetsError."""
     if len(pts.points) < 2:
         raise DegeneratePointSetError("need at least two points to normalize")
     lat = pts.lattice
@@ -539,6 +537,11 @@ def normalize_lattice(pts: PointSet, system) -> NormalizedPolytope:
     if not inside.all():
         raise DegeneratePointSetError("point outside its own spanning lattice")
     rows = tuple(_transport_flagged(system, lat))
+    for row, values in zip(rows, _row_values([row.normal for row in rows], coords)):
+        if values.max() > row.rhs:
+            raise InconsistentFacetsError(
+                f"inequality {row.normal} <= {row.rhs} is violated by a lattice point"
+            )
     return NormalizedPolytope(lat.rank, tuple(map(tuple, coords.tolist())), rows, lat)
 
 
@@ -548,8 +551,8 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     Works in normalized (full-dimensional, point-lattice) coordinates.  Facet
     rows are the rows the criterion flags (`verify_facet_flags` checks those
     flags against exact active-set ranks); a lattice point violating any row
-    raises InconsistentFacetsError.  Returns None when no dilation up to
-    dim+1 has a valid interior lattice vector.
+    raises InconsistentFacetsError in `normalize_lattice`.  Returns None
+    when no dilation up to dim+1 has a valid interior lattice vector.
     """
     if not is_connected(g):
         raise DisconnectedError("the geometric decision procedure needs a connected graph")
@@ -557,12 +560,6 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     if len(pts.points) == 1:
         return GorensteinCertificate(1, (), pts.points[0], degenerate=True)
     norm = normalize_lattice(pts, inequality_system(g, pts))
-    values = _row_values([row.normal for row in norm.rows], _point_matrix(norm.points))
-    for row, row_values in zip(norm.rows, values):
-        if row_values.max() > row.rhs:
-            raise InconsistentFacetsError(
-                f"inequality {row.normal} <= {row.rhs} is violated by a lattice point"
-            )
     facets = norm.facets
     # index t asks for normals . x = t * rhs - 1: one elimination of
     # [normals | rhs | 1] serves every t

@@ -99,10 +99,6 @@ class TestCorpus:
         with pytest.raises(TooLargeError):
             CorpusSpec(max_n=9)
 
-    def test_disconnected_request_rejected(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(max_n=4, connected_only=False)
-
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             CorpusSpec(max_n=4, family="chordal")

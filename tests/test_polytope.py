@@ -34,14 +34,13 @@ from pmsp import (
     verify_facet_flags,
 )
 from pmsp.graph import bipartition, is_connected
-from pmsp.intlattice import affine_rank, dot
+from pmsp.intlattice import _point_matrix, affine_rank, dot
 from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
     _dilate_codes,
     _lattice_codes,
     _lattice_reduce,
-    _point_matrix,
     _row_values,
     _transport_flagged,
     facet_scan,
@@ -178,7 +177,7 @@ def _scan_cases(g):
         return
     norm = normalize_lattice(pts, system)
     rows = [(row.normal, row.rhs) for row in _transport_flagged(system, norm.transform)]
-    yield norm.points, norm.dim, rows, None
+    yield norm.points, norm.dim, rows, _point_matrix(norm.points)
 
 
 class TestFacetScan:
@@ -190,7 +189,7 @@ class TestFacetScan:
         checked = 0
         for g in graphs:
             for points, dim, rows, matrix in _scan_cases(g):
-                scan = list(facet_scan(points, dim, rows, matrix))
+                scan = list(facet_scan(matrix, dim, rows))
                 assert len(scan) == len(rows)
                 for (normal, rhs), (values, facet) in zip(rows, scan):
                     exact = [dot(normal, p) for p in points]
@@ -382,6 +381,9 @@ class TestTransport:
         for g in (cycle_graph(6), complete_bipartite_graph(2, 3), cycle_graph(5), complete_graph(4)):
             with pytest.raises(InconsistentFacetsError, match="violated by a lattice point"):
                 gorenstein_geometric(g)
+            pts = lattice_points(g)
+            with pytest.raises(InconsistentFacetsError, match="violated by a lattice point"):
+                normalize_lattice(pts, tightened(g, pts))
 
     def test_oversized_basis_uses_python_ints(self):
         # 3e = 2^64 + 2 wraps to 2 in int64; 2^64 + 1 does not fit at all
