@@ -38,9 +38,9 @@ from .polytope import (
     DILATE_VERTEX_LIMIT,
     DilateCheck,
     GorensteinCertificate,
+    dilate_checks,
     dimension,
     gorenstein_geometric,
-    idp_check,
 )
 from .subsets import ENUMERATION_LIMIT
 
@@ -519,10 +519,7 @@ def classify_all(g: Graph) -> ClassificationReport:
         )
         dilates: tuple[DilateCheck, ...] = ()
         if sub.n <= DILATE_VERTEX_LIMIT:
-            dilates = (
-                idp_check(sub, 2, "normality"),
-                idp_check(sub, 2, "idp"),
-            )
+            dilates = dilate_checks(sub, 2, ("normality", "idp"))
         count = len(matchable_masks(sub)) if sub.n <= ENUMERATION_LIMIT else None
         reports.append(
             ComponentReport(

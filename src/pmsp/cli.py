@@ -10,6 +10,7 @@ JSON objects are emitted with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: building it
+    takes longer than many verbs do.  Every `main` call parses with it;
+    parsing writes only the namespace it returns."""
     parser = argparse.ArgumentParser(
         prog="pmsp",
         description="Perfectly matchable subgraph polytopes: points, facets, and property checks.",
@@ -324,8 +329,7 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except TooLargeError as exc:

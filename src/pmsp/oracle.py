@@ -133,10 +133,24 @@ def canonical_code(g: Graph) -> int:
     matching the running minimum survive each level (branch and bound).
     The vertex count sits above the adjacency bits so graphs of different
     sizes never share a code.
+
+    Twins are pruned exactly.  Two vertices are twins when their
+    neighborhoods agree apart from each other.  Swapping two twins is an
+    automorphism and twinship is an equivalence, so every order has a
+    partner with the same code that places each twin class in label
+    order.  Those orders alone therefore reach the least prefix at every
+    level, and a vertex is skipped, from the first level on, while a
+    smaller twin of it is still unplaced.
     """
     n = g.n
     adj = g.adj_masks
-    partials = [((v,), 1 << (v - 1)) for v in range(1, n + 1)]
+    twins_below = [0] * (n + 1)
+    for u in range(1, n + 1):
+        for v in range(1, u):
+            bits = 1 << (u - 1) | 1 << (v - 1)
+            if adj[u] & ~bits == adj[v] & ~bits:
+                twins_below[u] |= 1 << (v - 1)
+    partials = [((v,), 1 << (v - 1)) for v in range(1, n + 1) if not twins_below[v]]
     code = 0
     for level in range(1, n):
         best = None
@@ -144,7 +158,7 @@ def canonical_code(g: Graph) -> int:
         for placed, used in partials:
             for u in range(1, n + 1):
                 bit = 1 << (u - 1)
-                if used & bit:
+                if used & bit or twins_below[u] & ~used:
                     continue
                 block = 0
                 for w in placed:

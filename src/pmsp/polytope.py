@@ -635,22 +635,25 @@ def _lattice_codes(
     return codes[inside]
 
 
-def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
-    """Check that every lattice point of the k-th dilate splits into k points.
+def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
+    """Check that every lattice point of the k-th dilate splits into k points,
+    once per mode in `modes`, in that order.
 
     Mode "idp" ranges over all integer points of the dilate; mode "normality"
     restricts to the lattice spanned by the polytope's own points.  The
     witness, when present, is the lexicographically first indecomposable
     point.
 
-    The dilate's points are enumerated by `_dilate_codes`, so the cost
-    follows the prefixes that survive its pruning, not (k+1)^n.  A point's
-    code is sum x_i (k+1)^(n-1-i); the digits of a sum of k 0/1 points stay
-    at most k, so codes add without carries and a point decomposes exactly
-    when its code is a sum of k point codes.
+    The dilate's points are enumerated once for all modes by
+    `_dilate_codes`, so the cost follows the prefixes that survive its
+    pruning, not (k+1)^n.  A point's code is sum x_i (k+1)^(n-1-i); the
+    digits of a sum of k 0/1 points stay at most k, so codes add without
+    carries and a point decomposes exactly when its code is a sum of k
+    point codes.
     """
-    if mode not in ("idp", "normality"):
-        raise ValueError(f"unknown mode {mode!r}")
+    for mode in modes:
+        if mode not in ("idp", "normality"):
+            raise ValueError(f"unknown mode {mode!r}")
     if k not in (2, 3):
         raise ValueError("dilate checks support k = 2 or 3")
     if not is_connected(g):
@@ -666,16 +669,26 @@ def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
         rows = [row[:2] for row in _bound_rows(g.n) + list(_odd_set_rows(g))]
     codes = _dilate_codes([normal for normal, _ in rows], [k * rhs for _, rhs in rows], g.n, k)
     weights = (k + 1) ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
-    if mode == "normality":
-        codes = _lattice_codes(codes, weights, k, pts.lattice)
     singles = pts.matrix @ weights
     sums = singles
     for _ in range(k - 1):
         sums = np.unique(sums[:, None] + singles)
-    at = np.minimum(np.searchsorted(sums, codes), len(sums) - 1)
-    missing = np.flatnonzero(sums[at] != codes)
-    witness = None
-    if len(missing):
-        code = int(codes[missing[0]])
-        witness = tuple(code // w % (k + 1) for w in weights.tolist())
-    return DilateCheck(k, mode, witness is None, witness, len(codes))
+    checks = []
+    for mode in modes:
+        kept = _lattice_codes(codes, weights, k, pts.lattice) if mode == "normality" else codes
+        at = np.minimum(np.searchsorted(sums, kept), len(sums) - 1)
+        missing = np.flatnonzero(sums[at] != kept)
+        witness = None
+        if len(missing):
+            code = int(kept[missing[0]])
+            witness = tuple(code // w % (k + 1) for w in weights.tolist())
+        checks.append(DilateCheck(k, mode, witness is None, witness, len(kept)))
+    return tuple(checks)
+
+
+def idp_check(g: Graph, k: int, mode: str = "idp") -> DilateCheck:
+    """The dilate check of `dilate_checks` in the one mode `mode`: "idp"
+    over all integer points of the k-th dilate, "normality" over the
+    lattice spanned by the polytope's own points."""
+    (check,) = dilate_checks(g, k, (mode,))
+    return check

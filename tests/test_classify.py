@@ -1,11 +1,15 @@
 """Structural deciders: compressedness, Gorensteinness, odd cycle condition."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pmsp import (
     Graph,
     UnsupportedShapeError,
+    VertexSet,
     classify_all,
     complete_bipartite_graph,
     complete_graph,
@@ -18,12 +22,18 @@ from pmsp import (
     gorenstein_decide,
     gorenstein_geometric,
     gorenstein_pseudotree,
+    idp_check,
+    induced_subgraph,
     odd_cycle_condition,
     path_graph,
     solve_interior_vector,
 )
+from pmsp.cli import main
+from pmsp.polytope import DILATE_VERTEX_LIMIT
 
-from .conftest import decorated_even_cycle, three_block_graph
+from .conftest import FIXTURES, decorated_even_cycle, fixture_graphs, three_block_graph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestCompressed:
@@ -274,3 +284,53 @@ class TestClassifyAll:
         report = classify_all(cycle_graph(4))
         modes = [(c.k, c.mode) for c in report.components[0].dilate_checks]
         assert modes == [(2, "normality"), (2, "idp")]
+
+
+class TestSharedDilateEnumeration:
+    """classify_all derives both k = 2 dilate checks of a component from one
+    enumeration of its dilate."""
+
+    TRIANGLE_AND_C4 = Graph(7, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)))
+    # P11 on 1..11 (over DILATE_VERTEX_LIMIT) and a triangle on 12..14
+    P11_AND_TRIANGLE = Graph(
+        14, tuple((v, v + 1) for v in range(1, 11)) + ((12, 13), (13, 14), (12, 14))
+    )
+
+    @pytest.mark.parametrize(
+        "g, sizes",
+        [(cycle_graph(7), [7]), (TRIANGLE_AND_C4, [3, 4]), (P11_AND_TRIANGLE, [3])],
+        ids=["C7", "triangle+C4", "P11+triangle"],
+    )
+    def test_one_enumeration_per_small_component(self, monkeypatch, g, sizes):
+        import pmsp.polytope as polytope
+
+        enumerated = []
+        original = polytope._dilate_codes
+
+        def counted(normals, bound, n, k):
+            enumerated.append(n)
+            return original(normals, bound, n, k)
+
+        monkeypatch.setattr(polytope, "_dilate_codes", counted)
+        report = classify_all(g)
+        assert enumerated == sizes
+        assert [len(c.vertices) for c in report.components if c.dilate_checks] == sizes
+        assert all(len(c.vertices) > DILATE_VERTEX_LIMIT
+                   for c in report.components if not c.dilate_checks)
+
+    def test_matches_one_mode_checks(self, connected_7):
+        small = [g for g in fixture_graphs() if g.n <= DILATE_VERTEX_LIMIT]
+        assert len(small) == 6
+        for g in connected_7 + small:
+            for comp in classify_all(g).components:
+                sub = induced_subgraph(g, VertexSet.from_vertices(comp.vertices, g.n))
+                expected = [idp_check(sub, 2, mode).to_json() for mode in ("normality", "idp")]
+                assert [c.to_json() for c in comp.dilate_checks] == expected, g.edges
+
+    def test_classify_text_unchanged(self, capsys):
+        golden = json.loads((GOLDEN / "classify_text.json").read_text())
+        fixtures = sorted(FIXTURES.iterdir())
+        assert [f.name for f in fixtures] == sorted(golden)
+        for path in fixtures:
+            assert main(["classify", "--format", "text", "--input", str(path)]) == 0
+            assert capsys.readouterr().out == golden[path.name], path.name

@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, schemas, and byte-for-byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +14,8 @@ from pmsp.graph import Graph
 
 from .conftest import FIXTURES
 
-SCHEMAS = Path(__file__).parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).parent.parent
+SCHEMAS = ROOT / "docs" / "schemas"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -217,3 +221,45 @@ class TestInputForms:
         a = run_cli(capsys, "dim", "--input", C4, "--seed", "1")
         b = run_cli(capsys, "dim", "--input", C4, "--seed", "99")
         assert a == b
+
+
+class TestParserReuse:
+    """`main` parses every call with one parser per process; no call may
+    leave a trace in the next."""
+
+    SEQUENCE = [
+        ("check-normal", "--input", K4, "--k", "2"),
+        ("check-normal", "--input", K4),
+        ("dim", "--input", C4, "--format", "text"),
+        ("dim", "--input", C4),
+        ("dim", "--input", C4, "--k", "2"),  # --k belongs to check-normal: usage error
+        ("classify", "--input", C5),
+    ]
+
+    @staticmethod
+    def fresh_process(argv) -> tuple[int, str, str]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "pmsp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
+        # argparse wraps usage lines at the terminal width; fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+            assert runs[-1] == self.fresh_process(argv), argv
+        assert len(json.loads(runs[0][1])["dilate_checks"]) == 1
+        assert json.loads(runs[1][1])["dilate_checks"] == []
+        assert runs[4][0] == 2 and runs[4][2].startswith("usage: pmsp")

@@ -1,6 +1,7 @@
 """Corpus generation, canonical codes, and oracle self-consistency."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from pmsp import (
     canonical_code,
     complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     generate_corpus,
     matchable_subsets,
@@ -29,6 +31,73 @@ BIPARTITE_BY_N = {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 TREES_BY_N = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 # connected unicyclic graphs: OEIS A001429
 UNICYCLIC_BY_N = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+
+
+def unpruned_canonical_code(g: Graph) -> int:
+    """`canonical_code` without twin pruning: the branch and bound keeps
+    every placement that ties the running minimum."""
+    n = g.n
+    adj = g.adj_masks
+    partials = [((v,), 1 << (v - 1)) for v in range(1, n + 1)]
+    code = 0
+    for level in range(1, n):
+        best = None
+        survivors = []
+        for placed, used in partials:
+            for u in range(1, n + 1):
+                bit = 1 << (u - 1)
+                if used & bit:
+                    continue
+                block = 0
+                for w in placed:
+                    block = block << 1 | (adj[u] >> (w - 1)) & 1
+                if best is None or block < best:
+                    best = block
+                    survivors = [(placed + (u,), used | bit)]
+                elif block == best:
+                    survivors.append((placed + (u,), used | bit))
+        partials = survivors
+        code = code << level | best
+    return n << (n * (n - 1) // 2) | code
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return Graph(g.n, tuple((perm[u - 1], perm[v - 1]) for u, v in g.edges))
+
+
+class TestTwinPruning:
+    @pytest.mark.parametrize("corpus", ["connected_7", "bipartite_8", "pseudotrees_9"])
+    def test_matches_unpruned_on_corpora(self, request, corpus):
+        # the unpruned code is a minimum over all orders, so relabeling g
+        # leaves it unchanged
+        rng = random.Random(0)
+        for g in request.getfixturevalue(corpus):
+            code = unpruned_canonical_code(g)
+            assert canonical_code(g) == code, g.edges
+            h = relabeled(g, rng)
+            assert canonical_code(h) == code, h.edges
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_bipartite_graph(1, 8),
+            complete_bipartite_graph(3, 3),
+            complete_multipartite_graph(2, 2, 2, 2),
+            complete_graph(8),
+        ],
+        ids=["K1,8", "K3,3", "K2,2,2,2", "K8"],
+    )
+    def test_matches_unpruned_on_twin_classes(self, g):
+        h = relabeled(g, random.Random(1))
+        assert canonical_code(g) == canonical_code(h) == unpruned_canonical_code(g)
+
+    @pytest.mark.parametrize("spec", [CorpusSpec(8, "pseudotree"), CorpusSpec(7, "bipartite")])
+    def test_corpus_unchanged(self, monkeypatch, spec):
+        pruned = [(g.n, g.edges) for g in generate_corpus(spec)]
+        monkeypatch.setattr("pmsp.oracle.canonical_code", unpruned_canonical_code)
+        assert [(g.n, g.edges) for g in generate_corpus(spec)] == pruned
 
 
 class TestCanonicalCode:
