@@ -1,0 +1,138 @@
+"""One sha256 per output family over fixed graph sets, to show that a
+change leaves every computed output byte-identical.
+
+The inputs are the `all` corpus with n <= N, the `bipartite` corpus with
+n <= N + 1, and the fixture graphs with n <= 20.  The families are the
+inequality rows, the point lattice, the normalized polytope, the Gorenstein
+certificate, the facet-flag check, the level-count test, the k = 2, 3
+dilate checks, the odd-cycle verdict, `classify_all`, and the `facets`
+verb's JSON and text output.  A computation over its budget contributes the
+name of the error it raised, as does a disconnected graph where a
+family needs a connected one.  Run it once per checkout and compare:
+
+    PYTHONPATH=src python3 scripts/digest_outputs.py --max-n 6
+
+Prints one sorted-key JSON object.  Only long-standing public names are
+used, so the same script digests older checkouts of the package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from pmsp import (
+    CorpusSpec,
+    PmspError,
+    classify_all,
+    gorenstein_geometric,
+    inequality_system,
+    lattice_points,
+    normalize_lattice,
+    odd_cycle_condition,
+    sullivant_compressed,
+    verify_facet_flags,
+)
+from pmsp.cli import main as cli_main
+from pmsp.graph import parse_graph
+from pmsp.oracle import generate_corpus
+from pmsp.polytope import dilate_checks
+
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+
+
+def graphs(max_n: int):
+    yield from generate_corpus(CorpusSpec(max_n=max_n))
+    yield from generate_corpus(CorpusSpec(max_n=max_n + 1, family="bipartite"))
+    for path in sorted(FIXTURES.glob("*.edges")):
+        g = parse_graph(path.read_text())
+        if g.n <= 20:
+            yield g
+
+
+def rows(system) -> list:
+    return [[list(r.normal), r.rhs, r.facet, r.source] for r in system]
+
+
+def cli_output(g, fmt: str) -> str:
+    text = json.dumps(g.to_json(), separators=(",", ":"))  # short: --input tests it as a path
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli_main(["facets", "--input", text, "--format", fmt])
+    return f"{code}\n{out.getvalue()}"
+
+
+def normalized(g) -> dict:
+    pts = lattice_points(g)
+    norm = normalize_lattice(pts, inequality_system(g, pts))
+    lat = norm.transform
+    return {
+        "dim": norm.dim,
+        "points": [list(p) for p in norm.points],
+        "rows": rows(norm.rows),
+        "transform": [list(lat.origin), [list(b) for b in lat.basis], list(lat.pivots)],
+    }
+
+
+def lattice(g) -> list:
+    lat = lattice_points(g).lattice
+    return [list(lat.origin), [list(b) for b in lat.basis], list(lat.pivots)]
+
+
+def certificate(g):
+    cert = gorenstein_geometric(g)
+    return None if cert is None else cert.to_json()
+
+
+def dilates(g) -> list:
+    return [c.to_json() for k in (2, 3) for c in dilate_checks(g, k, ("idp", "normality"))]
+
+
+FAMILIES = {
+    "rows": lambda g: rows(inequality_system(g)),
+    "lattice": lattice,
+    "normalized": normalized,
+    "certificate": certificate,
+    "facet_flags": lambda g: verify_facet_flags(g).to_json(),
+    "sullivant": lambda g: list(sullivant_compressed(g)),
+    "dilates": dilates,
+    "odd_cycle": lambda g: odd_cycle_condition(g).to_json(),
+    "classify": lambda g: classify_all(g).to_json(),
+    "facets_json": lambda g: cli_output(g, "json"),
+    "facets_text": lambda g: cli_output(g, "text"),
+}
+
+
+def digest(max_n: int) -> dict[str, str]:
+    hashes = {name: hashlib.sha256() for name in FAMILIES}
+    for g in graphs(max_n):
+        for name, compute in FAMILIES.items():
+            try:
+                value = compute(g)
+            except PmspError as exc:
+                value = f"error: {type(exc).__name__}"
+            record = json.dumps([g.n, list(map(list, g.edges)), value], sort_keys=True)
+            hashes[name].update(record.encode() + b"\n")
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-n", type=int, required=True)
+    args = parser.parse_args(argv)
+    try:
+        report = digest(args.max_n)
+    except PmspError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    print(json.dumps(report, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -161,7 +161,7 @@ def _run_points(g: Graph, args) -> int:
 def _run_facets(g: Graph, args) -> int:
     system = inequality_system(g)
     if args.format == "json":
-        _emit(_dump({"count": len(system), "inequalities": [i.to_json() for i in system]}))
+        _emit(_dump(system.to_json()))
     else:
         for ineq in system:
             normal = " ".join(map(str, ineq.normal))

@@ -143,14 +143,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(mask_vertices(self.adj_masks[v]))
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def vertex_set(self) -> VertexSet:
-        return VertexSet(self.full_mask, self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_masks[u] >> (v - 1) & 1)

@@ -34,15 +34,6 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
 class IntRowBasis:
     """Incremental rank over Q via exact integer elimination.
 
@@ -286,10 +277,3 @@ def as_integer_vector(solution) -> tuple[int, ...] | None:
         out.append(int(x))
     return tuple(out)
 
-
-def primitivize(normal, rhs: int) -> tuple[tuple[int, ...], int]:
-    """Divide an inequality by the gcd of its normal when the rhs divides too."""
-    g = vector_gcd(normal)
-    if g > 1 and rhs % g == 0:
-        return tuple(x // g for x in normal), rhs // g
-    return tuple(normal), rhs

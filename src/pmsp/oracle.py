@@ -84,17 +84,16 @@ def sullivant_compressed(g: Graph):
         )
     pts = lattice_points(g)
     system = inequality_system(g, pts)
-    rows = [(ineq.normal, ineq.rhs) for ineq in system]
-    scan = facet_scan(pts.matrix, pts.lattice.rank, rows)
-    for ineq, (values, facet) in zip(system, scan):
+    scan = facet_scan(pts.matrix, pts.lattice.rank, system.normals, system.rhs)
+    for (values, facet), rhs, source in zip(scan, system.rhs.tolist(), system.sources):
         if not facet:
             continue
         values = values.tolist()
         distinct = sorted(set(values))
         if len(distinct) > 2:
             witness = {
-                "source": ineq.source,
-                "levels": [v - ineq.rhs for v in distinct],
+                "source": source,
+                "levels": [v - rhs for v in distinct],
                 "values": distinct,
                 "points": [list(pts.points[values.index(v)]) for v in distinct[:3]],
             }

@@ -8,10 +8,15 @@ properties (facet ranks, Gorenstein interior vectors, dilate decompositions)
 in exact integer arithmetic.
 
 A point set is one integer matrix, one row per point: the 0/1 rows of
-`PointSet.matrix`, or the coordinate rows `normalize_lattice` reduces.  The
-facet scans, ranks, facet levels and the normalization guard read those
-rows; the tuples of `PointSet.points` and `NormalizedPolytope.points` are
-the public view.
+`PointSet.matrix`, or the coordinate rows `normalize_lattice` reduces.  An
+inequality system is one `RowSystem`: a matrix of normals with vectors of
+right-hand sides, facet flags and sources, one entry per row.  The row
+builders emit it, the transport to lattice coordinates, the validity guard,
+the facet scans and the Gorenstein search read its arrays, and the values
+of all rows over all points come from block products (`_row_values`).  The
+tuples of `PointSet.points` and `NormalizedPolytope.points`, and the
+`AffineInequality` rows a `RowSystem` yields when iterated, are the public
+view.
 
 There is one normalization: points and rows are rewritten in the Hermite
 basis of the lattice the points span (`normalize_lattice`).  For a connected
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 
 import numpy as np
 
@@ -43,7 +48,6 @@ from .graph import (
     is_connected,
     mask_components,
     mask_two_color,
-    mask_vertices,
 )
 from .intlattice import (
     INT64_SAFE,
@@ -53,7 +57,6 @@ from .intlattice import (
     dot,
     hnf_rows,
     lattice_coordinates,
-    primitivize,
     solve_unique_columns,
 )
 from .matchable import matchable_masks
@@ -73,19 +76,30 @@ class AffineLattice:
 
     @classmethod
     def from_points(cls, points) -> "AffineLattice":
-        pts = list(points)
-        if not pts:
+        """The lattice the differences of the points from the first span.
+
+        Each round reduces the candidate points at once (`_lattice_reduce`)
+        and extends the basis with the difference of the first one outside,
+        through `hnf_rows`.  The lattice only grows, so a point inside stays
+        inside: the candidates of the next round are the later points that
+        were outside, and the differences join the basis in the order a
+        one-point-at-a-time scan would add them.
+        """
+        matrix = _point_matrix(points)
+        if not len(matrix):
             raise DegeneratePointSetError("no points to span a lattice")
-        origin = tuple(pts[0])
-        basis: list[tuple[int, ...]] = []
-        pivots: list[int] = []
-        for p in pts[1:]:
-            diff = [x - o for x, o in zip(p, origin)]
-            if lattice_coordinates(basis, pivots, diff) is None:
-                basis_rows = [list(r) for r in basis] + [diff]
-                new_basis, new_pivots = hnf_rows(basis_rows)
-                basis, pivots = new_basis, new_pivots
-        return cls(len(origin), origin, tuple(basis), tuple(pivots))
+        origin = tuple(matrix[0].tolist())
+        lat = cls(len(origin), origin, (), ())
+        top = _top(matrix)
+        rest = matrix[1:]
+        while True:
+            outside = np.flatnonzero(~_lattice_reduce(rest, top, lat)[1])
+            if not outside.size:
+                return lat
+            diff = [x - o for x, o in zip(rest[outside[0]].tolist(), origin)]
+            basis, pivots = hnf_rows([*lat.basis, diff])
+            lat = cls(lat.ambient_n, origin, tuple(basis), tuple(pivots))
+            rest = rest[outside[1:]]
 
     @property
     def rank(self) -> int:
@@ -120,7 +134,7 @@ class PointSet:
 
     @cached_property
     def lattice(self) -> AffineLattice:
-        return AffineLattice.from_points(self.points)
+        return AffineLattice.from_points(self.matrix)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -142,15 +156,40 @@ class AffineInequality:
     facet: bool
     source: str
 
-    def value(self, point) -> int:
-        return dot(self.normal, point)
+
+@dataclass(frozen=True, eq=False)
+class RowSystem:
+    """Inequalities `normals[i] . x <= rhs[i]`, one entry per row in each
+    field: `normals` an int64 matrix, `rhs` an int64 vector (either an
+    object array of Python ints when a value does not fit), `facet` the
+    criterion flags as a bool vector, and `sources` the row names.
+
+    Iterating yields the rows as `AffineInequality`, in order.  Systems
+    compare by identity; compare `list(system)` for the rows.
+    """
+
+    normals: np.ndarray
+    rhs: np.ndarray
+    facet: np.ndarray
+    sources: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def _lists(self):
+        return zip(self.normals.tolist(), self.rhs.tolist(), self.facet.tolist(), self.sources)
+
+    def __iter__(self):
+        for normal, rhs, facet, source in self._lists():
+            yield AffineInequality(tuple(normal), rhs, facet, source)
 
     def to_json(self) -> dict:
         return {
-            "normal": list(self.normal),
-            "rhs": self.rhs,
-            "facet": self.facet,
-            "source": self.source,
+            "count": len(self),
+            "inequalities": [
+                {"normal": normal, "rhs": rhs, "facet": facet, "source": source}
+                for normal, rhs, facet, source in self._lists()
+            ],
         }
 
 
@@ -158,16 +197,12 @@ class AffineInequality:
 class NormalizedPolytope:
     """Full-dimensional model of the polytope in the coordinates of the
     lattice its points span (`transform`).  `rows` are the transported
-    inequalities with their criterion flags; `facets` the flagged ones."""
+    inequalities with their criterion flags."""
 
     dim: int
     points: tuple[tuple[int, ...], ...]
-    rows: tuple[AffineInequality, ...]
+    rows: RowSystem
     transform: AffineLattice
-
-    @property
-    def facets(self) -> tuple[AffineInequality, ...]:
-        return tuple(row for row in self.rows if row.facet)
 
 
 @dataclass(frozen=True)
@@ -243,6 +278,20 @@ class FacetCheckReport:
         }
 
 
+def _top(values: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, exactly; 0 if empty."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+
+
+def _reach(normals: np.ndarray) -> int:
+    """The largest sum of absolute entries over the rows of `normals`,
+    exactly (0 for none): summed in int64 only when no such sum can reach
+    2^63."""
+    if _top(normals) * normals.shape[-1] >= 1 << 63:
+        normals = normals.astype(object)
+    return int(abs(normals).sum(axis=-1).max(initial=0))
+
+
 def _lattice_reduce(
     points: np.ndarray, top: int, lat: AffineLattice
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +303,15 @@ def _lattice_reduce(
     A value starts at most top + max|origin| and grows at most
     (1 + max|basis entry|) fold per basis row; past INT64_SAFE the
     reduction runs in Python ints."""
-    entry = max((abs(x) for row in lat.basis for x in row), default=0)
+    basis = _point_matrix(lat.basis)
     start = top + max(map(abs, lat.origin))
-    dtype = np.int64 if start * (1 + entry) ** lat.rank < INT64_SAFE else object
+    dtype = np.int64 if start * (1 + _top(basis)) ** lat.rank < INT64_SAFE else object
+    basis = basis.astype(dtype, copy=False)
     v = points.astype(dtype) - np.array(lat.origin, dtype=dtype)
     coords = np.empty((len(v), lat.rank), dtype=dtype)
-    for i, (row, p) in enumerate(zip(lat.basis, lat.pivots)):
+    for i, (row, p) in enumerate(zip(basis, lat.pivots)):
         coords[:, i] = v[:, p] // row[p]
-        v -= coords[:, i, None] * np.array(row, dtype=dtype)
+        v -= coords[:, i, None] * row
     return coords, (v == 0).all(axis=1)
 
 
@@ -280,152 +330,150 @@ def dimension(g: Graph) -> int:
 _VALUES_BLOCK = 1 << 14  # row values (rows x points) multiplied out at a time
 
 
-def _row_values(normals, matrix: np.ndarray):
-    """Yield one array of exact values `normal . x` over the rows x of
-    `matrix` per normal: in int64 when no partial sum can reach INT64_SAFE,
-    in Python integers otherwise, a block of normals at a time."""
-    if not normals:
-        return
-    reach = max(sum(map(abs, normal)) for normal in normals)
-    reach *= max(1, int(abs(matrix).max(initial=0)))
-    dtype = np.int64 if reach < INT64_SAFE else object
-    normals = np.array(normals, dtype=dtype)
+def _row_values(normals: np.ndarray, matrix: np.ndarray):
+    """Yield (rows, values) per block of the rows of `normals`: the slice of
+    the rows, and one array per normal of its exact values `normal . x`
+    over the rows x of `matrix`.  The products run in int64 when no value
+    can reach INT64_SAFE (the largest sum |a_i| over the rows, times
+    max |x|), in Python integers otherwise."""
+    dtype = np.int64 if _reach(normals) * max(1, _top(matrix)) < INT64_SAFE else object
+    normals = normals.astype(dtype, copy=False)
     points_t = matrix.astype(dtype, copy=False).T
     step = max(1, _VALUES_BLOCK // max(1, len(matrix)))
     for start in range(0, len(normals), step):
-        yield from normals[start : start + step] @ points_t
+        rows = slice(start, start + step)
+        yield rows, normals[rows] @ points_t
 
 
-def facet_scan(matrix: np.ndarray, dim: int, rows):
-    """Yield (values, facet) per row (normal, rhs): `normal . p` for every
-    row p of `matrix`, and whether the row's tight points have affine rank
-    dim - 1, dim being the rank of all the points.  Tight on some but not
-    all points, a row cuts their affine hull in a hyperplane, so the rank
-    cannot pass dim - 1 and elimination stops there.  Validity is left to
-    the caller.
+def facet_scan(matrix: np.ndarray, dim: int, normals: np.ndarray, rhs: np.ndarray):
+    """Yield (values, facet) per row of `normals` and `rhs`: `normal . p`
+    for every row p of `matrix`, and whether the row's tight points have
+    affine rank dim - 1, dim being the rank of all the points.  Tight on
+    some but not all points, a row cuts their affine hull in a hyperplane,
+    so the rank cannot pass dim - 1 and elimination stops there.  Validity
+    is left to the caller.
     """
-    normals = [normal for normal, _ in rows]
-    for (_, rhs), values in zip(rows, _row_values(normals, matrix)):
-        tight = np.flatnonzero(values == rhs)
-        facet = 0 < len(tight) < len(matrix) and affine_rank(matrix[tight], dim - 1) == dim - 1
-        yield values, facet
+    for rows, block in _row_values(normals, matrix):
+        tight = block == rhs[rows, None]
+        for values, row_tight, count in zip(block, tight, tight.sum(axis=1).tolist()):
+            facet = 0 < count < len(matrix) and affine_rank(matrix[row_tight], dim - 1) == dim - 1
+            yield values, facet
 
 
-def _bipartite_system(g: Graph) -> list[AffineInequality]:
+def _member_labels(masks: np.ndarray, n: int) -> list[str]:
+    """The vertices of each mask as ascending comma-separated labels, read
+    off two tables of the labels of every low and every high half of the
+    n bits."""
+    half = n // 2
+
+    def table(offset: int, width: int) -> list[str]:
+        return [
+            "".join(f"{offset + i + 1}," for i in range(width) if m >> i & 1)
+            for m in range(1 << width)
+        ]
+
+    low, high = table(0, half), table(half, n - half)
+    low_bits = (1 << half) - 1
+    return [(low[m & low_bits] + high[m >> half])[:-1] for m in masks.tolist()]
+
+
+def _bounds(n: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Normals, rhs and sources of the rows -x_v <= 0, then x_v <= 1."""
+    eye = np.eye(n, dtype=np.int64)
+    sources = [f"{name}({v})" for name in ("NonNeg", "UpperOne") for v in range(1, n + 1)]
+    return np.vstack([-eye, eye]), np.repeat(np.arange(2), n), sources
+
+
+def _bipartite_system(g: Graph) -> RowSystem:
     v1, v2 = bipartition(g)
-    v1m, v2m = v1.mask, v2.mask
     n = g.n
+    normals, rhs, sources = _bounds(n)
     cuts = cut_vertex_mask(g)
-    rows: list[AffineInequality] = []
-    for v in range(1, n + 1):
-        normal = tuple(-1 if i == v - 1 else 0 for i in range(n))
-        facet = n > 1 and not (cuts >> (v - 1)) & 1
-        rows.append(AffineInequality(normal, 0, facet, f"NonNeg({v})"))
-    for v in range(1, n + 1):
-        normal = tuple(1 if i == v - 1 else 0 for i in range(n))
-        if n == 1:
-            facet = False
-        elif g.edge_count == 1:
-            facet = True
-        else:
-            facet = g.degree(v) >= 2
-        rows.append(AffineInequality(normal, 1, facet, f"UpperOne({v})"))
-    for sub, gam, facet in bipartite_cuts(g, v1m, v2m):
-        normal = tuple(
-            1 if sub >> i & 1 else (-1 if gam >> i & 1 else 0) for i in range(n)
-        )
-        members = ",".join(str(v) for v in mask_vertices(sub))
-        rows.append(AffineInequality(normal, 0, facet, f"BipartiteCut({members})"))
-    balance = tuple(1 if v1m >> i & 1 else -1 for i in range(n))
-    rows.append(AffineInequality(balance, 0, False, "Balance(upper)"))
-    rows.append(
-        AffineInequality(tuple(-a for a in balance), 0, False, "Balance(lower)")
+    flags = [n > 1 and not cuts >> (v - 1) & 1 for v in g.vertices()]
+    flags += [n > 1 and (g.edge_count == 1 or g.degree(v) >= 2) for v in g.vertices()]
+    found = list(bipartite_cuts(g, v1.mask, v2.mask))
+    subs, gams, facets = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    bit = np.arange(n)
+    balance = np.where(v1.mask >> bit & 1, 1, -1)
+    cut_rows = (subs[:, None] >> bit & 1) - (gams[:, None] >> bit & 1)
+    sources += [f"BipartiteCut({members})" for members in _member_labels(subs, n)]
+    sources += ["Balance(upper)", "Balance(lower)"]
+    return RowSystem(
+        np.vstack([normals, cut_rows, balance, -balance]),
+        np.concatenate([rhs, np.zeros(len(found) + 2, dtype=np.int64)]),
+        np.concatenate([flags, facets.astype(bool), [False, False]]),
+        tuple(sources),
     )
-    return rows
 
 
-def _bound_rows(n: int) -> list[tuple[tuple[int, ...], int, str]]:
-    """(normal, rhs, source) of the rows 0 <= x_v <= 1 of a nonbipartite graph."""
-    return [
-        (tuple(sign if i == v - 1 else 0 for i in range(n)), rhs, f"{name}({v})")
-        for sign, rhs, name in ((-1, 0, "NonNeg"), (1, 1, "UpperOne"))
-        for v in range(1, n + 1)
-    ]
-
-
-def _odd_set_rows(g: Graph, flags: bool = False):
-    """Yield (normal, rhs, facet, source) for every odd-set row: one per
-    vertex set S whose induced components are single vertices or odd and
-    nonbipartite, in increasing mask order, with rhs |S| - #components.
-
-    The sets and their facts are read off the graph's subset tables
-    (`subset_tables`).  With `flags` facet is the criterion: every
-    component of S is critical, every component outside S and its
-    neighborhood N is nonbipartite, and S + N stays connected without the
-    edges inside N.  Without it the criterion is skipped and facet is None.
-    """
+def _nonbipartite_rows(g: Graph):
+    """(normals, rhs, masks, gams): the rows of a nonbipartite graph's
+    system without facet flags.  First the bound rows, then one odd-set row
+    per vertex set S whose induced components are single vertices or odd
+    and nonbipartite, in increasing mask order: 1 on S, -1 on its
+    neighborhood N, rhs |S| - #components.  `masks` and `gams` hold S and
+    N of the odd-set rows.  The sets and their facts are read off the
+    graph's subset tables (`subset_tables`)."""
     tables = subset_tables(g)
     facts, count = tables.component_facts
     masks = np.flatnonzero(facts & ODD_SET)[1:]  # mask 0 has no component
     gams = tables.neighbors[masks] & ~masks
-    rhs = tables.popcount[masks] - count[masks]
-    criterion = repeat(False)
-    if flags:
-        outside = facts[g.full_mask & ~(masks | gams)]
-        criterion = ((facts[masks] & CRITICAL != 0) & (outside & NONBIPARTITE != 0)).tolist()
-    shifts = np.arange(g.n)
-    inside = masks[:, None] >> shifts & 1
-    normals = inside - (gams[:, None] >> shifts & 1)
-    labels = [str(v) for v in range(1, g.n + 1)]
-    adj = g.adj_masks
-    for s_mask, gam, row_rhs, maybe, normal, members in zip(
-        masks.tolist(), gams.tolist(), rhs.tolist(), criterion, normals.tolist(), inside.tolist()
-    ):
-        facet = None
-        if flags:
-            facet = bool(maybe and _connected_after_internal_deletion(adj, s_mask, gam))
-        yield (
-            tuple(normal),
-            row_rhs,
-            facet,
-            f"OddSet({','.join(compress(labels, members))})",
-        )
+    bit = np.arange(g.n)
+    normals, rhs, _ = _bounds(g.n)
+    odd = (masks[:, None] >> bit & 1) - (gams[:, None] >> bit & 1)
+    rhs = np.concatenate([rhs, tables.popcount[masks] - count[masks]])
+    return np.vstack([normals, odd]), rhs, masks, gams
 
 
-def _connected_after_internal_deletion(adj_masks, s_mask: int, gam: int) -> bool:
-    """Connectivity of the induced graph on S and its neighborhood, with the
-    edges inside the neighborhood removed."""
-    allowed = s_mask | gam
-    comp = frontier = allowed & -allowed
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj_masks[low.bit_length()] & (s_mask if low & gam else allowed)
-            frontier ^= low
-        frontier = nxt & ~comp
-        comp |= frontier
+def _connected_after_internal_deletion(neighbors, s, gam) -> np.ndarray:
+    """Per pair (S, N) of masks, whether the graph induced on S and its
+    neighborhood N stays connected without the edges inside N.  The
+    component of the lowest vertex grows one layer a round over the pairs
+    still growing: a vertex of S reaches S and N (its neighbors all lie
+    there), a vertex of N reaches only S."""
+    allowed = s | gam
+    comp = allowed & -allowed
+    growing = np.arange(len(s))
+    while growing.size:
+        before = comp[growing]
+        inside = s[growing]
+        after = before | neighbors[before & inside] | neighbors[before & gam[growing]] & inside
+        moved = after != before
+        growing = growing[moved]
+        comp[growing] = after[moved]
     return comp == allowed
 
 
-def _nonbipartite_system(g: Graph, pts: PointSet) -> list[AffineInequality]:
-    bounds = _bound_rows(g.n)
-    scan = facet_scan(pts.matrix, g.n, [row[:2] for row in bounds])
-    rows = [
-        AffineInequality(normal, rhs, facet, source)
-        for (normal, rhs, source), (_, facet) in zip(bounds, scan)
-    ]
-    rows += [AffineInequality(*row) for row in _odd_set_rows(g, flags=True)]
-    return rows
+def _nonbipartite_system(g: Graph, pts: PointSet) -> RowSystem:
+    """The rows of `_nonbipartite_rows` with facet flags: the bound rows
+    flagged by their ranks (`facet_scan`), an odd-set row by the criterion.
+    Every component of S is critical, every component outside S and N is
+    nonbipartite, and S + N stays connected without the edges inside N."""
+    normals, rhs, masks, gams = _nonbipartite_rows(g)
+    bounds = 2 * g.n
+    flags = [facet for _, facet in facet_scan(pts.matrix, g.n, normals[:bounds], rhs[:bounds])]
+    tables = subset_tables(g)
+    facts, _ = tables.component_facts
+    outside = facts[g.full_mask & ~(masks | gams)]
+    criterion = (facts[masks] & CRITICAL != 0) & (outside & NONBIPARTITE != 0)
+    maybe = np.flatnonzero(criterion)
+    criterion[maybe] = _connected_after_internal_deletion(
+        tables.neighbors, masks[maybe], gams[maybe]
+    )
+    sources = _bounds(g.n)[2] + [f"OddSet({m})" for m in _member_labels(masks, g.n)]
+    return RowSystem(
+        normals, rhs, np.concatenate([np.array(flags, dtype=bool), criterion]), tuple(sources)
+    )
 
 
-def inequality_system(g: Graph, pts: PointSet | None = None) -> tuple[AffineInequality, ...]:
-    """Complete inequality description of the polytope with facet flags.
+def inequality_system(g: Graph, pts: PointSet | None = None) -> RowSystem:
+    """Complete inequality description of the polytope with facet flags, as
+    one `RowSystem`.
 
-    Connected graphs only.  Bipartite graphs get bound rows, one row per
-    proper nonempty subset of the first color class, and the balance pair;
-    nonbipartite graphs get bound rows (flagged geometrically) and one row
-    per admissible odd vertex set.
+    Connected graphs only.  Bipartite graphs get the bound rows, one row
+    per proper nonempty subset of the first color class, and the balance
+    pair; nonbipartite graphs get the bound rows (flagged by the ranks of
+    their tight points in `pts`) and one row per admissible odd vertex set.
     """
     if not is_connected(g):
         raise DisconnectedError("inequality systems are defined per connected graph")
@@ -434,15 +482,15 @@ def inequality_system(g: Graph, pts: PointSet | None = None) -> tuple[AffineIneq
             f"inequality system enumeration capped at {ENUMERATION_LIMIT} vertices, got {g.n}"
         )
     if bipartition(g) is not None:
-        return tuple(_bipartite_system(g))
+        return _bipartite_system(g)
     if pts is None:
         pts = lattice_points(g)
-    return tuple(_nonbipartite_system(g, pts))
+    return _nonbipartite_system(g, pts)
 
 
 def membership(system, point, k: int = 1) -> bool:
     """Whether a point satisfies every inequality of the k-th dilate."""
-    return all(ineq.value(point) <= k * ineq.rhs for ineq in system)
+    return all(dot(ineq.normal, point) <= k * ineq.rhs for ineq in system)
 
 
 def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
@@ -452,7 +500,7 @@ def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
     """
     if not ineq.facet:
         raise NotAFacetError(f"row {ineq.source} is not flagged as a facet")
-    (values,) = _row_values([ineq.normal], pts.matrix)
+    ((_, values),) = _row_values(_point_matrix([ineq.normal]), pts.matrix)
     return tuple(v - ineq.rhs for v in np.unique(values).tolist())
 
 
@@ -461,53 +509,64 @@ def verify_facet_flags(g: Graph) -> FacetCheckReport:
     pts = lattice_points(g)
     system = inequality_system(g, pts)
     dim = pts.lattice.rank
-    rows = [(ineq.normal, ineq.rhs) for ineq in system]
+    scan = facet_scan(pts.matrix, dim, system.normals, system.rhs)
     disagreements = []
-    for ineq, (values, facet) in zip(system, facet_scan(pts.matrix, dim, rows)):
-        valid = bool(values.max() <= ineq.rhs)
+    for (values, facet), rhs, flag, source in zip(
+        scan, system.rhs.tolist(), system.facet.tolist(), system.sources
+    ):
+        valid = bool(values.max() <= rhs)
         geometric = valid and facet
-        if not valid or geometric != ineq.facet:
-            disagreements.append(
-                FacetCheckEntry(ineq.source, ineq.facet, geometric, valid)
-            )
+        if not valid or geometric != flag:
+            disagreements.append(FacetCheckEntry(source, flag, geometric, valid))
     return FacetCheckReport(dim, len(system), tuple(disagreements))
 
 
-def _transport_flagged(system, lattice: AffineLattice) -> list[AffineInequality]:
+def _transport_flagged(system: RowSystem, lattice: AffineLattice) -> RowSystem:
     """Rewrite every row in the coordinates of `lattice`, primitivize, and
     merge coincident rows, keeping criterion flags and joining sources.
 
     A normal a becomes (a . b for b in basis) and rhs drops by a . origin,
-    all from one `_row_values` product.  Rows that vanish (the balance pair
-    of a bipartite graph) are removed; coincident rows with conflicting
-    flags raise.
+    all from one product with [origin | basis].  A row that vanishes (the
+    balance pair of a bipartite graph) is removed, or raises when it has
+    become infeasible.  A row whose rhs the gcd of its normal divides is
+    divided by it.  Coincident rows merge in first-occurrence order, and
+    raise when their flags conflict.
     """
     frame = _point_matrix([lattice.origin, *lattice.basis])
-    values = _row_values([ineq.normal for ineq in system], frame)
-    merged: dict[tuple[tuple[int, ...], int], AffineInequality] = {}
-    for ineq, (shift, *normal) in zip(system, (v.tolist() for v in values)):
-        rhs = ineq.rhs - shift
-        if not any(normal):
-            if rhs < 0:
-                raise InconsistentFacetsError(
-                    f"row {ineq.source} became infeasible after normalization"
-                )
-            continue
-        key = primitivize(normal, rhs)
-        row = merged.get(key)
-        if row is None:
-            merged[key] = AffineInequality(*key, ineq.facet, ineq.source)
-        elif row.facet != ineq.facet:
+    # the empty head keeps the shape of an empty system
+    head = np.zeros((0, len(frame)), dtype=np.int64)
+    values = np.vstack([head, *(block for _, block in _row_values(system.normals, frame))])
+    rhs = system.rhs
+    if values.dtype == object or _top(rhs) >= INT64_SAFE:
+        rhs = rhs.astype(object)
+    rhs = rhs - values[:, 0]
+    normals = values[:, 1:]
+    keep = (normals != 0).any(axis=1)
+    infeasible = np.flatnonzero(~keep & (rhs < 0))
+    if infeasible.size:
+        source = system.sources[infeasible[0]]
+        raise InconsistentFacetsError(f"row {source} became infeasible after normalization")
+    normals, rhs, facet = normals[keep], rhs[keep], system.facet[keep]
+    sources = list(compress(system.sources, keep.tolist()))
+    divisor = np.gcd.reduce(normals, axis=1)
+    divisor = np.where((divisor > 1) & (rhs % divisor == 0), divisor, 1)
+    normals, rhs = normals // divisor[:, None], rhs // divisor
+    first: dict = {}  # (normal, rhs) -> index of its first row
+    merged: dict[int, str] = {}  # that index -> the joined sources
+    flags = facet.tolist()
+    for i, key in enumerate(zip(map(tuple, normals.tolist()), rhs.tolist())):
+        j = first.setdefault(key, i)
+        if flags[j] != flags[i]:
             raise InconsistentFacetsError(
-                f"coincident rows with conflicting facet flags: {row.source} vs {ineq.source}"
+                f"coincident rows with conflicting facet flags: {merged[j]} vs {sources[i]}"
             )
-        else:
-            merged[key] = AffineInequality(*key, row.facet, f"{row.source}|{ineq.source}")
-    return list(merged.values())
+        merged[j] = f"{merged[j]}|{sources[i]}" if j < i else sources[i]
+    keep = list(merged)
+    return RowSystem(normals[keep], rhs[keep], facet[keep], tuple(merged.values()))
 
 
 def bipartite_projection(
-    g: Graph, pts: PointSet | None = None, system=None
+    g: Graph, pts: PointSet | None = None, system: RowSystem | None = None
 ) -> NormalizedPolytope:
     """Normalize a connected bipartite graph's polytope.
 
@@ -526,21 +585,25 @@ def bipartite_projection(
     return normalize_lattice(pts, system)
 
 
-def normalize_lattice(pts: PointSet, system) -> NormalizedPolytope:
+def normalize_lattice(pts: PointSet, system: RowSystem) -> NormalizedPolytope:
     """Rewrite the polytope and every row of `system` in coordinates of the
     lattice its points span.  A row that some lattice point violates raises
-    InconsistentFacetsError."""
+    InconsistentFacetsError; the check is one comparison per block of
+    row values."""
     if len(pts.points) < 2:
         raise DegeneratePointSetError("need at least two points to normalize")
     lat = pts.lattice
     coords, inside = _lattice_reduce(pts.matrix, 1, lat)
     if not inside.all():
         raise DegeneratePointSetError("point outside its own spanning lattice")
-    rows = tuple(_transport_flagged(system, lat))
-    for row, values in zip(rows, _row_values([row.normal for row in rows], coords)):
-        if values.max() > row.rhs:
+    rows = _transport_flagged(system, lat)
+    for block, values in _row_values(rows.normals, coords):
+        violated = np.flatnonzero(values.max(axis=1) > rows.rhs[block])
+        if violated.size:
+            i = block.start + violated[0]
+            normal = tuple(rows.normals[i].tolist())
             raise InconsistentFacetsError(
-                f"inequality {row.normal} <= {row.rhs} is violated by a lattice point"
+                f"inequality {normal} <= {int(rows.rhs[i])} is violated by a lattice point"
             )
     return NormalizedPolytope(lat.rank, tuple(map(tuple, coords.tolist())), rows, lat)
 
@@ -560,12 +623,11 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     if len(pts.points) == 1:
         return GorensteinCertificate(1, (), pts.points[0], degenerate=True)
     norm = normalize_lattice(pts, inequality_system(g, pts))
-    facets = norm.facets
+    rows = norm.rows
+    rhs = rows.rhs[rows.facet].tolist()
     # index t asks for normals . x = t * rhs - 1: one elimination of
     # [normals | rhs | 1] serves every t
-    solved = solve_unique_columns(
-        [row.normal for row in facets], [[row.rhs for row in facets], [1] * len(facets)]
-    )
+    solved = solve_unique_columns(rows.normals[rows.facet].tolist(), [rhs, [1] * len(rhs)])
     if solved is None:
         return None
     (per_index, shift), (residue, residue_shift) = solved
@@ -575,10 +637,9 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
         alpha = as_integer_vector([index * x - y for x, y in zip(per_index, shift)])
         if alpha is None:
             continue
-        if all(row.value(alpha) < index * row.rhs for row in norm.rows):
-            return GorensteinCertificate(
-                index, alpha, norm.transform.to_ambient(alpha)
-            )
+        values = _row_values(rows.normals, _point_matrix([alpha]))
+        if all((v[:, 0] < index * rows.rhs[block]).all() for block, v in values):
+            return GorensteinCertificate(index, alpha, norm.transform.to_ambient(alpha))
     return None
 
 
@@ -597,14 +658,14 @@ def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
     digit order, so each level is in lex order.  Row values are int64 when
     no bound and no k * |normal|_1 reaches INT64_SAFE, Python ints otherwise.
     """
-    reach = max([k * sum(map(abs, row)) for row in normals] + list(map(abs, bound)), default=0)
-    dtype = np.int64 if reach < INT64_SAFE else object
-    cols = np.array(normals, dtype=dtype).reshape(-1, n).T
+    normals, bound = _point_matrix(normals), _point_matrix(bound)
+    dtype = np.int64 if max(k * _reach(normals), _top(bound)) < INT64_SAFE else object
+    cols = normals.astype(dtype).reshape(-1, n).T
     m = cols.shape[1]
     # limits[j]: the most each row may take on a prefix of length j
     tails = np.zeros((n + 1, m), dtype=dtype)
     tails[:n] = np.cumsum((k * np.minimum(cols, 0))[::-1], axis=0)[::-1]
-    limits = np.array(bound, dtype=dtype) - tails
+    limits = bound.astype(dtype) - tails
     codes = np.zeros(int((limits[0] >= 0).all()), dtype=np.int64)
     values = np.zeros((len(codes), m), dtype=dtype)
     digits = np.arange(k + 1)
@@ -664,10 +725,11 @@ def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
         )
     pts = lattice_points(g)
     if bipartition(g) is not None:
-        rows = [(ineq.normal, ineq.rhs) for ineq in _bipartite_system(g)]
+        system = _bipartite_system(g)
+        normals, rhs = system.normals, system.rhs
     else:
-        rows = [row[:2] for row in _bound_rows(g.n) + list(_odd_set_rows(g))]
-    codes = _dilate_codes([normal for normal, _ in rows], [k * rhs for _, rhs in rows], g.n, k)
+        normals, rhs, _, _ = _nonbipartite_rows(g)
+    codes = _dilate_codes(normals, k * rhs, g.n, k)
     weights = (k + 1) ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
     singles = pts.matrix @ weights
     sums = singles

@@ -1,6 +1,8 @@
 """Structural deciders: compressedness, Gorensteinness, odd cycle condition."""
 
 import json
+import random
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from pmsp import (
     solve_interior_vector,
 )
 from pmsp.cli import main
+from pmsp.graph import connected_components, mask_is_connected, mask_vertices
 from pmsp.polytope import DILATE_VERTEX_LIMIT
 
 from .conftest import FIXTURES, decorated_even_cycle, fixture_graphs, three_block_graph
@@ -237,6 +240,46 @@ class TestOddCycleCondition:
     def test_different_components_ignored(self):
         g = Graph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)))
         assert odd_cycle_condition(g).value
+
+    def test_matches_the_loop_over_all_masks(self, connected_7):
+        """Verdict and witness equal those of a loop over all 2^n masks
+        that keeps the connected odd masks whose every vertex has two
+        neighbors in the mask."""
+        rng = random.Random(5)
+        seeded = []
+        for n in range(3, 11):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for m in (n - 1, n + 2, 2 * n):
+                seeded.append(Graph(n, rng.sample(pairs, min(m, len(pairs)))))
+        assert any(len(connected_components(g)) > 1 for g in seeded)
+        failures = 0
+        for g in connected_7 + seeded:
+            verdict = odd_cycle_condition(g)
+            value, witness = _odd_cycle_reference(g)
+            assert (verdict.value, verdict.witness) == (value, witness), g.edges
+            failures += not value
+        assert failures >= 5
+
+
+def _odd_cycle_reference(g: Graph):
+    """(value, witness) of the odd cycle condition by a loop over all masks."""
+    adj = g.adj_masks
+    cycles = []
+    for mask in range(1, 1 << g.n):
+        k = mask.bit_count()
+        if k < 3 or k % 2 == 0:
+            continue
+        if all((adj[v] & mask).bit_count() == 2 for v in mask_vertices(mask)):
+            if mask_is_connected(adj, mask):
+                cycles.append(mask)
+    comp_id = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
+    for i, a in enumerate(cycles):
+        for b in cycles[i + 1 :]:
+            if a & b or comp_id[(a & -a).bit_length()] != comp_id[(b & -b).bit_length()]:
+                continue
+            if not any(adj[v] & b for v in mask_vertices(a)):
+                return False, {"cycles": [list(mask_vertices(a)), list(mask_vertices(b))]}
+    return True, None
 
 
 class TestDispatcher:

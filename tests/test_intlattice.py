@@ -16,10 +16,8 @@ from pmsp.intlattice import (
     dot,
     hnf_rows,
     lattice_coordinates,
-    primitivize,
     solve_unique_columns,
     solve_unique_rational,
-    vector_gcd,
 )
 
 small_vec = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5)
@@ -36,14 +34,6 @@ class TestBasics:
     def test_dot(self):
         assert dot((1, 2, 3), (4, 5, 6)) == 32
 
-    def test_vector_gcd(self):
-        assert vector_gcd((4, -6, 8)) == 2
-        assert vector_gcd((0, 0)) == 0
-
-    def test_primitivize(self):
-        assert primitivize((2, 4), 6) == ((1, 2), 3)
-        # gcd 2 does not divide rhs 3, so the row stays as is
-        assert primitivize((2, 4), 3) == ((2, 4), 3)
 
 
 class TestRowBasis:

@@ -1,7 +1,9 @@
 """Lattice points, inequality systems, normalization, and dilate checks."""
 
+import dataclasses
 import random
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -33,8 +35,9 @@ from pmsp import (
     path_graph,
     verify_facet_flags,
 )
+from pmsp.polytope import RowSystem
 from pmsp.graph import bipartition, is_connected
-from pmsp.intlattice import _point_matrix, affine_rank, dot
+from pmsp.intlattice import _point_matrix, affine_rank, dot, hnf_rows, lattice_coordinates
 from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
@@ -172,12 +175,28 @@ def _scan_cases(g):
     its rows transported to the point-lattice normalization."""
     pts = lattice_points(g)
     system = inequality_system(g, pts)
-    yield pts.points, pts.lattice.rank, [(i.normal, i.rhs) for i in system], pts.matrix
+    yield pts.points, pts.lattice.rank, system, pts.matrix
     if len(pts.points) < 2:
         return
     norm = normalize_lattice(pts, system)
-    rows = [(row.normal, row.rhs) for row in _transport_flagged(system, norm.transform)]
+    rows = _transport_flagged(system, norm.transform)
     yield norm.points, norm.dim, rows, _point_matrix(norm.points)
+
+
+def _values(normals, matrix) -> list:
+    """The per-normal value arrays of `_row_values`, blocks flattened."""
+    return [v for _, block in _row_values(_point_matrix(normals), matrix) for v in block]
+
+
+def _system(rows) -> RowSystem:
+    """A RowSystem from (normal, rhs, facet, source) tuples."""
+    normals, rhs, facet, sources = zip(*rows)
+    return RowSystem(_point_matrix(normals), _point_matrix(rhs), np.array(facet), sources)
+
+
+def _no_rows(n: int) -> RowSystem:
+    return RowSystem(np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                     np.zeros(0, dtype=bool), ())
 
 
 class TestFacetScan:
@@ -189,9 +208,10 @@ class TestFacetScan:
         checked = 0
         for g in graphs:
             for points, dim, rows, matrix in _scan_cases(g):
-                scan = list(facet_scan(matrix, dim, rows))
+                scan = list(facet_scan(matrix, dim, rows.normals, rows.rhs))
                 assert len(scan) == len(rows)
-                for (normal, rhs), (values, facet) in zip(rows, scan):
+                for row, (values, facet) in zip(rows, scan):
+                    normal, rhs = row.normal, row.rhs
                     exact = [dot(normal, p) for p in points]
                     assert values.tolist() == exact
                     active = [p for p, v in zip(points, exact) if v == rhs]
@@ -213,10 +233,11 @@ class TestFacetScan:
     def test_int64_bound_picks_the_product(self):
         matrix = _point_matrix([(1, 0), (0, 1), (1, 1)])
         assert matrix.dtype == np.int64
-        fits = list(_row_values([(1, 2), (INT64_SAFE - 1, 0)], matrix))
+        fits = _values([(1, 2), (INT64_SAFE - 1, 0)], matrix)
         assert [v.dtype for v in fits] == [np.int64, np.int64]
         assert fits[1].tolist() == [INT64_SAFE - 1, 0, INT64_SAFE - 1]
-        big = list(_row_values([(1, 2), (INT64_SAFE, INT64_SAFE)], matrix))
+        # the normals fit in int64, but |a_1| + |a_2| = 2^63 would wrap there
+        big = _values([(1, 2), (INT64_SAFE, INT64_SAFE)], matrix)
         assert [v.dtype for v in big] == [object, object]
         assert big[0].tolist() == [1, 2, 3]
         assert big[1].tolist() == [INT64_SAFE, INT64_SAFE, 2 * INT64_SAFE]
@@ -225,7 +246,7 @@ class TestFacetScan:
         huge = 1 << 70
         matrix = _point_matrix([(huge, 0), (0, 1)])
         assert matrix.dtype == object
-        (values,) = _row_values([(3, -1)], matrix)
+        (values,) = _values([(3, -1)], matrix)
         assert values.tolist() == [3 * huge, -1]
 
 
@@ -302,7 +323,7 @@ class TestNormalization:
             pts = lattice_points(g)
             if len(pts) < 2:
                 continue
-            norm = normalize_lattice(pts, ())
+            norm = normalize_lattice(pts, _no_rows(g.n))
             assert norm.points == tuple(pts.lattice.coordinates(p) for p in pts.points)
         lat = lattice_points(cycle_graph(5)).lattice
         units = np.eye(5, dtype=np.int64)
@@ -311,6 +332,21 @@ class TestNormalization:
         assert [lat.to_ambient(c) for c in coords[5:].tolist()] == [
             tuple(2 * (i == j) for j in range(5)) for i in range(5)
         ]
+
+    def test_lattice_matches_the_one_point_loop(self, connected_7, bipartite_8):
+        """`from_points` screens all points per basis extension; the basis
+        equals that of reducing the points one at a time."""
+        for g in connected_7 + bipartite_8 + fixture_graphs():
+            points = lattice_points(g).points
+            origin = points[0]
+            basis, pivots = [], []
+            for p in points[1:]:
+                diff = [x - o for x, o in zip(p, origin)]
+                if lattice_coordinates(basis, pivots, diff) is None:
+                    basis, pivots = hnf_rows([list(r) for r in basis] + [diff])
+            expected = AffineLattice(g.n, origin, tuple(basis), tuple(pivots))
+            assert AffineLattice.from_points(points) == expected, g.edges
+            assert lattice_points(g).lattice == expected
 
     def test_nonbipartite_lattice_index_two(self):
         """For an odd cycle the point lattice is the even-coordinate-sum
@@ -371,11 +407,10 @@ class TestTransport:
         system = polytope.inequality_system
 
         def tightened(g, pts=None):
-            return tuple(
-                AffineInequality(ineq.normal, 0, ineq.facet, ineq.source)
-                if ineq.source == "UpperOne(1)" else ineq
-                for ineq in system(g, pts)
-            )
+            rows = system(g, pts)
+            rhs = rows.rhs.copy()
+            rhs[rows.sources.index("UpperOne(1)")] = 0
+            return dataclasses.replace(rows, rhs=rhs)
 
         monkeypatch.setattr(polytope, "inequality_system", tightened)
         for g in (cycle_graph(6), complete_bipartite_graph(2, 3), cycle_graph(5), complete_graph(4)):
@@ -389,18 +424,71 @@ class TestTransport:
         # 3e = 2^64 + 2 wraps to 2 in int64; 2^64 + 1 does not fit at all
         e = (2**64 + 2) // 3
         assert e < 2**63
-        row = AffineInequality((0, 3), 1, True, "Big")
+        row = _system([((0, 3), 1, True, "Big")])
         for entry, value in ((e, 2**64 + 2), (2**64 + 1, 3 * 2**64 + 3)):
             lat = AffineLattice(2, (0, 0), ((1, entry),), (0,))
-            assert _transport_flagged([row], lat) == [
+            assert list(_transport_flagged(row, lat)) == [
                 AffineInequality((value,), 1, True, "Big")
             ]
         # the origin moves the rhs: 1 - 3e, which int64 would wrap to -1
         shifted = AffineLattice(2, (0, e), ((1, 0),), (0,))
-        row = AffineInequality((1, 3), 1, True, "Big")
-        assert _transport_flagged([row], shifted) == [
+        row = _system([((1, 3), 1, True, "Big")])
+        assert list(_transport_flagged(row, shifted)) == [
             AffineInequality((1,), -(2**64) - 1, True, "Big")
         ]
+
+    def test_rows_divide_by_the_normal_gcd_only_when_the_rhs_does(self):
+        lat = AffineLattice(2, (0, 0), ((1, 0), (0, 1)), (0, 1))
+        rows = _system([((2, 4), 6, True, "A"), ((2, 4), 3, False, "B"), ((-3, 0), 0, True, "C")])
+        assert list(_transport_flagged(rows, lat)) == [
+            AffineInequality((1, 2), 3, True, "A"),
+            # gcd 2 does not divide rhs 3, so the row stays as is
+            AffineInequality((2, 4), 3, False, "B"),
+            AffineInequality((-1, 0), 0, True, "C"),
+        ]
+
+    def test_matches_the_per_row_reference(self, connected_7):
+        """Transported rows equal a per-row Python transport: dot products
+        with the origin and the basis, division by the normal's gcd when
+        the rhs divides, and a dict merge joining sources, in order."""
+        graphs = [g for g in connected_7 if g.n <= 6 and bipartition(g) is None]
+        checked = 0
+        for g in graphs + fixture_graphs():
+            pts = lattice_points(g)
+            if len(pts) < 2:
+                continue
+            system = inequality_system(g, pts)
+            lat = pts.lattice
+            merged: dict = {}
+            for row in system:
+                normal = [dot(row.normal, b) for b in lat.basis]
+                rhs = row.rhs - dot(row.normal, lat.origin)
+                if not any(normal):
+                    assert rhs >= 0
+                    continue
+                d = 0
+                for a in normal:
+                    d = gcd(d, a)
+                if d > 1 and rhs % d == 0:
+                    normal, rhs = [a // d for a in normal], rhs // d
+                key = (tuple(normal), rhs)
+                if key in merged:
+                    facet, source = merged[key]
+                    assert facet == row.facet
+                    merged[key] = (facet, f"{source}|{row.source}")
+                else:
+                    merged[key] = (row.facet, row.source)
+            expected = [(*key, *value) for key, value in merged.items()]
+            got = [(r.normal, r.rhs, r.facet, r.source) for r in _transport_flagged(system, lat)]
+            assert got == expected, g.edges
+            checked += len(got)
+        assert checked > 5000
+
+    def test_conflicting_flags_raise(self):
+        lat = AffineLattice(2, (0, 0), ((1, 0), (0, 1)), (0, 1))
+        rows = _system([((1, 0), 1, True, "A"), ((2, 0), 2, True, "B"), ((1, 0), 1, False, "C")])
+        with pytest.raises(InconsistentFacetsError, match="flags: A[|]B vs C"):
+            _transport_flagged(rows, lat)
 
 
 class TestGorensteinGeometric:
@@ -489,7 +577,7 @@ def _box_idp_checks(g: Graph, k: int) -> dict[str, DilateCheck]:
     lex order, keep the points of the dilate (and of the point lattice in
     normality mode), and look each one up among the tuple sums of k points."""
     pts = lattice_points(g)
-    system = inequality_system(g, pts)
+    system = list(inequality_system(g, pts))  # the rows as tuples, made once
     dilate = [z for z in product(range(k + 1), repeat=g.n) if membership(system, z, k)]
     pair_sums = {
         tuple(a + b for a, b in zip(p, q)) for p in pts.points for q in pts.points
@@ -632,11 +720,16 @@ class TestUnflaggedRows:
                 assert idp_check(g, k, "normality").ok
 
     def test_rows_match_the_flagged_system(self, connected_7):
-        from pmsp.polytope import _bound_rows, _odd_set_rows
+        from pmsp.polytope import _nonbipartite_rows
 
         for g in connected_7:
             if bipartition(g) is not None:
                 continue
             flagged = [(i.normal, i.rhs, i.source) for i in inequality_system(g)]
-            rows = [row[:2] + (row[-1],) for row in _bound_rows(g.n) + list(_odd_set_rows(g))]
+            normals, rhs, masks, _ = _nonbipartite_rows(g)
+            sources = [f"{name}({v})" for name in ("NonNeg", "UpperOne") for v in g.vertices()]
+            for mask in masks.tolist():
+                members = ",".join(str(v) for v in g.vertices() if mask >> (v - 1) & 1)
+                sources.append(f"OddSet({members})")
+            rows = list(zip(map(tuple, normals.tolist()), rhs.tolist(), sources))
             assert rows == flagged

@@ -1,5 +1,6 @@
 """The standalone drivers in scripts/: exit codes of whole runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +60,14 @@ def test_cap_below_one_exits_2_with_a_usage_message(name, argv):
 def test_small_runs_exit_0(name):
     result = run_script(name, "--max-n", "4")
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_digest_prints_one_stable_line():
+    first = run_script("digest_outputs.py", "--max-n", "3")
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) == 1
+    digests = json.loads(lines[0])
+    assert "rows" in digests and "facets_json" in digests
+    assert len(set(digests.values())) == len(digests)
+    assert run_script("digest_outputs.py", "--max-n", "3").stdout == first.stdout

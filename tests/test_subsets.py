@@ -7,14 +7,42 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pmsp import Graph, TooLargeError, brute_force_matchable, inequality_system, matchable_subsets
+from pmsp import (
+    Graph,
+    TooLargeError,
+    brute_force_matchable,
+    inequality_system,
+    lattice_points,
+    matchable_subsets,
+)
 from pmsp.graph import mask_component, mask_neighborhood, mask_two_color
 from pmsp.matchable import mask_perfectly_matchable
 from pmsp.oracle import BRUTE_FORCE_LIMIT
-from pmsp.polytope import _connected_after_internal_deletion, _odd_set_rows
+from pmsp.polytope import (
+    _connected_after_internal_deletion,
+    _nonbipartite_rows,
+    _nonbipartite_system,
+)
 from pmsp.subsets import subset_tables
 
 from .conftest import fixture_graphs
+
+
+def reference_connected_after_internal_deletion(adj_masks, s_mask: int, gam: int) -> bool:
+    """Connectivity of the induced graph on S and its neighborhood, with the
+    edges inside the neighborhood removed, by a breadth-first search over
+    the bits of one pair."""
+    allowed = s_mask | gam
+    comp = frontier = allowed & -allowed
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj_masks[low.bit_length()] & (s_mask if low & gam else allowed)
+            frontier ^= low
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp == allowed
 
 
 def reference_odd_set_rows(g: Graph, matchable: frozenset[int]):
@@ -57,7 +85,7 @@ def reference_odd_set_rows(g: Graph, matchable: frozenset[int]):
         facet = bool(
             critical[s_mask]
             and nonbipartite[full & ~(s_mask | gam)]
-            and _connected_after_internal_deletion(adj, s_mask, gam)
+            and reference_connected_after_internal_deletion(adj, s_mask, gam)
         )
         normal = tuple(
             1 if s_mask >> i & 1 else -1 if gam >> i & 1 else 0 for i in range(n)
@@ -92,15 +120,35 @@ def matchable_masks(g: Graph) -> frozenset[int]:
 
 
 def test_tables_match_the_per_mask_loops(connected_7, pseudotrees_9):
-    """Unflagged rows are the flagged ones with facet None: the flags
-    change no candidate."""
+    """The odd-set rows follow the 2n bound rows.  The unflagged rows carry
+    the normals and right-hand sides of the flagged ones: the flags change
+    no candidate."""
     for g in compared_graphs(connected_7, pseudotrees_9):
         matchable = matchable_masks(g)
         family = matchable_subsets(g)
         assert [s.mask for s in family] == sorted(matchable, key=lambda m: (m.bit_count(), m))
         expected = list(reference_odd_set_rows(g, matchable))
-        assert list(_odd_set_rows(g, flags=True)) == expected, g.edges
-        assert list(_odd_set_rows(g)) == [row[:2] + (None,) + row[3:] for row in expected]
+        system = _nonbipartite_system(g, lattice_points(g))
+        rows = [(row.normal, row.rhs, row.facet, row.source) for row in system]
+        assert rows[2 * g.n :] == expected, g.edges
+        normals, rhs, _, _ = _nonbipartite_rows(g)
+        unflagged = list(zip(map(tuple, normals.tolist()), rhs.tolist()))
+        assert unflagged[2 * g.n :] == [row[:2] for row in expected]
+
+
+def test_closure_matches_the_per_row_search(connected_7):
+    """The array closure agrees with the breadth-first search on every
+    nonempty set S and its neighborhood."""
+    for g in connected_7 + seeded_graphs():
+        tables = subset_tables(g)
+        masks = np.arange(1, 1 << g.n)
+        gams = tables.neighbors[masks] & ~masks
+        got = _connected_after_internal_deletion(tables.neighbors, masks, gams)
+        expected = [
+            reference_connected_after_internal_deletion(g.adj_masks, s, gam)
+            for s, gam in zip(masks.tolist(), gams.tolist())
+        ]
+        assert got.tolist() == expected, g.edges
 
 
 def test_tables_stay_out_of_equality_hash_and_json():
