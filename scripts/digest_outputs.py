@@ -68,8 +68,7 @@ def cli_output(g, fmt: str) -> str:
 
 
 def normalized(g) -> dict:
-    pts = lattice_points(g)
-    norm = normalize_lattice(pts, inequality_system(g, pts))
+    norm = normalize_lattice(lattice_points(g), inequality_system(g))
     lat = norm.transform
     return {
         "dim": norm.dim,

@@ -2,7 +2,8 @@
 
 Builds a uniform connected nonbipartite G(n, m) from `--seed`, then times
 `lattice_points` and `inequality_system` on it and reports the process's
-peak resident set size.  Run it in a fresh process per graph, so the peak
+peak resident set size.  The system reads the point set that
+`lattice_points` kept on the graph, so the two times do not overlap.  Run it in a fresh process per graph, so the peak
 belongs to that graph alone:
 
     python3 scripts/measure_scale.py --n 20 --m 50 --seed 0
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
         start = perf_counter()
         pts = lattice_points(g)
         middle = perf_counter()
-        system = inequality_system(g, pts)
+        system = inequality_system(g)
         end = perf_counter()
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

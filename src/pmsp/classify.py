@@ -13,6 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import (
+    DILATE_VERTEX_LIMIT,
+    ENUMERATION_LIMIT,
+    ODD_CYCLE_VERTEX_LIMIT,
+    SUBSET_SCAN_LIMIT,
+)
 from .errors import (
     DisconnectedError,
     NotBipartiteError,
@@ -36,17 +42,13 @@ from .graph import (
 )
 from .matchable import has_perfect_matching, matchable_masks
 from .polytope import (
-    DILATE_VERTEX_LIMIT,
     DilateCheck,
     GorensteinCertificate,
     dilate_checks,
     dimension,
     gorenstein_geometric,
 )
-from .subsets import ENUMERATION_LIMIT, subset_tables
-
-ODD_CYCLE_VERTEX_LIMIT = 16
-SUBSET_SCAN_LIMIT = 20
+from .subsets import subset_tables
 
 
 @dataclass(frozen=True)

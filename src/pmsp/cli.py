@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from .budgets import CORPUS_CAPS
 from .classify import (
     classify_all,
     compressed_by_theorem,
@@ -24,7 +25,7 @@ from .classify import (
 from .errors import GraphParseError, PmspError, TooLargeError
 from .graph import Graph, connected_components, induced_subgraph, parse_graph, parse_graph_json
 from .matchable import matchable_subsets
-from .oracle import CORPUS_CAPS, CorpusSpec, agreement_sweep
+from .oracle import CorpusSpec, agreement_sweep
 from .polytope import dimension, idp_check, inequality_system, lattice_points
 
 EXIT_TRUE = 0
@@ -113,7 +114,11 @@ def read_graph(args) -> Graph:
         text = sys.stdin.read()
     else:
         path = Path(raw)
-        if path.exists():
+        try:
+            is_file = path.exists()
+        except OSError:  # not a possible path, e.g. a name over 255 bytes
+            is_file = False
+        if is_file:
             text = path.read_text()
         elif "/" in raw or raw.endswith((".edges", ".json", ".txt")):
             raise GraphParseError(f"input file not found: {raw}")

@@ -72,29 +72,6 @@ class VertexSet:
     def __contains__(self, v: int) -> bool:
         return 1 <= v <= self.universe and bool(self.mask >> (v - 1) & 1)
 
-    def _check(self, other: "VertexSet") -> None:
-        if self.universe != other.universe:
-            raise ValueError("vertex sets live in different universes")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.mask | other.mask, self.universe)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.mask & other.mask, self.universe)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.mask & ~other.mask, self.universe)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(~self.mask & (1 << self.universe) - 1, self.universe)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
     def __repr__(self) -> str:
         return f"VertexSet({{{', '.join(map(str, self.members()))}}}, n={self.universe})"
 
@@ -145,9 +122,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> (v - 1) & 1)
 
     def __eq__(self, other) -> bool:
         return (

@@ -30,10 +30,6 @@ def _point_matrix(points) -> np.ndarray:
         return np.array(points, dtype=object)
 
 
-def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 class IntRowBasis:
     """Incremental rank over Q via exact integer elimination.
 
@@ -196,22 +192,6 @@ def hnf_rows(rows) -> tuple[list[tuple[int, ...]], list[int]]:
             if q:
                 basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
     return [tuple(r) for r in basis], pivots
-
-
-def lattice_coordinates(basis, pivots, vector) -> list[int] | None:
-    """Integer coordinates of `vector` in the Hermite basis, or None if outside."""
-    v = list(vector)
-    coords = []
-    for row, p in zip(basis, pivots):
-        q, r = divmod(v[p], row[p])
-        if r:
-            return None
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-        coords.append(q)
-    if any(v):
-        return None
-    return coords
 
 
 def solve_unique_columns(rows, columns):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import ENUMERATION_LIMIT
 from .errors import NotBipartiteError, TooLargeError
 from .graph import (
     Graph,
@@ -21,7 +22,7 @@ from .graph import (
     mask_vertices,
     proper_nonempty_submasks,
 )
-from .subsets import ENUMERATION_LIMIT, subset_tables
+from .subsets import subset_tables
 
 
 def mask_perfectly_matchable(adj_masks, mask: int, memo: dict[int, bool]) -> bool:
@@ -68,9 +69,6 @@ class MatchableFamily:
 
     def __iter__(self):
         return iter(self.subsets)
-
-    def masks(self) -> frozenset[int]:
-        return frozenset(s.mask for s in self.subsets)
 
     def as_lists(self) -> list[list[int]]:
         return [list(s.members()) for s in self.subsets]

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
+from .budgets import BRUTE_FORCE_LIMIT, CORPUS_CAPS, LABELED_CAP, SULLIVANT_LIMIT
 from .classify import (
     Verdict,
     complete_multipartite_shape,
@@ -26,12 +27,6 @@ from .errors import DisconnectedError, TooLargeError, UnsupportedShapeError
 from .graph import Graph, VertexSet, bipartition, is_connected, mask_vertices
 from .matchable import MatchableFamily, matchable_subsets
 from .polytope import facet_scan, gorenstein_geometric, inequality_system, lattice_points
-
-BRUTE_FORCE_LIMIT = 12
-SULLIVANT_LIMIT = 10
-
-CORPUS_CAPS = {"all": 8, "bipartite": 9, "pseudotree": 10, "multipartite": 12}
-LABELED_CAP = 6
 
 
 def _edge_scan_cover(edge_bits, target: int, start: int) -> bool:
@@ -83,7 +78,7 @@ def sullivant_compressed(g: Graph):
             f"level-count test capped at {SULLIVANT_LIMIT} vertices, got {g.n}"
         )
     pts = lattice_points(g)
-    system = inequality_system(g, pts)
+    system = inequality_system(g)
     scan = facet_scan(pts.matrix, pts.lattice.rank, system.normals, system.rhs)
     for (values, facet), rhs, source in zip(scan, system.rhs.tolist(), system.sources):
         if not facet:

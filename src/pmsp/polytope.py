@@ -16,7 +16,10 @@ the facet scans and the Gorenstein search read its arrays, and the values
 of all rows over all points come from block products (`_row_values`).  The
 tuples of `PointSet.points` and `NormalizedPolytope.points`, and the
 `AffineInequality` rows a `RowSystem` yields when iterated, are the public
-view.
+view.  A graph keeps its point set (with the lattice it spans) and its
+system with its subset tables: `lattice_points` and `inequality_system`
+build each once per graph, with read-only arrays, and every routine asking
+about that graph reads the same objects.
 
 There is one normalization: points and rows are rewritten in the Hermite
 basis of the lattice the points span (`normalize_lattice`).  For a connected
@@ -32,6 +35,7 @@ from itertools import compress
 
 import numpy as np
 
+from .budgets import DILATE_VERTEX_LIMIT, ENUMERATION_LIMIT
 from .errors import (
     DegeneratePointSetError,
     DisconnectedError,
@@ -54,15 +58,11 @@ from .intlattice import (
     _point_matrix,
     affine_rank,
     as_integer_vector,
-    dot,
     hnf_rows,
-    lattice_coordinates,
     solve_unique_columns,
 )
 from .matchable import matchable_masks
-from .subsets import CRITICAL, ENUMERATION_LIMIT, NONBIPARTITE, ODD_SET, subset_tables
-
-DILATE_VERTEX_LIMIT = 10
+from .subsets import CRITICAL, NONBIPARTITE, ODD_SET, subset_tables
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,6 @@ class AffineLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, point) -> tuple[int, ...] | None:
-        diff = [x - o for x, o in zip(point, self.origin)]
-        coords = lattice_coordinates(self.basis, self.pivots, diff)
-        return None if coords is None else tuple(coords)
-
-    def contains(self, point) -> bool:
-        return self.coordinates(point) is not None
-
     def to_ambient(self, coords) -> tuple[int, ...]:
         out = list(self.origin)
         for c, row in zip(coords, self.basis):
@@ -124,13 +116,16 @@ class AffineLattice:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Indicator vectors of the matchable sets, as the 0/1 rows of an int64
-    `matrix` (what every scan reads) and as tuples, plus the affine lattice
-    they span."""
+    """Indicator vectors of the matchable sets, as the 0/1 rows of a
+    read-only int64 `matrix` (what every scan reads) and as tuples, plus
+    the affine lattice they span."""
 
     ambient_n: int
     points: tuple[tuple[int, ...], ...]
     matrix: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.matrix.flags.writeable = False
 
     @cached_property
     def lattice(self) -> AffineLattice:
@@ -162,7 +157,8 @@ class RowSystem:
     """Inequalities `normals[i] . x <= rhs[i]`, one entry per row in each
     field: `normals` an int64 matrix, `rhs` an int64 vector (either an
     object array of Python ints when a value does not fit), `facet` the
-    criterion flags as a bool vector, and `sources` the row names.
+    criterion flags as a bool vector, and `sources` the row names.  The
+    arrays are read-only.
 
     Iterating yields the rows as `AffineInequality`, in order.  Systems
     compare by identity; compare `list(system)` for the rows.
@@ -172,6 +168,10 @@ class RowSystem:
     rhs: np.ndarray
     facet: np.ndarray
     sources: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for array in (self.normals, self.rhs, self.facet):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -297,9 +297,11 @@ def _lattice_reduce(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates over the Hermite basis of `lat` of the rows of `points`
     (entries at most `top` in absolute value) and the mask of the rows in
-    `lat`, all reduced at once in the steps of `lattice_coordinates`.  A
-    pivot entry its basis row does not divide leaves a remainder that no
-    later row touches, so a row is in `lat` exactly when its residue is 0.
+    `lat`, all reduced at once: per basis row, in pivot order, a point's
+    coordinate is its entry at the pivot floor-divided by the pivot, and
+    that multiple of the row is subtracted.  A pivot entry its basis row
+    does not divide leaves a remainder that no later row touches, so a row
+    is in `lat` exactly when its residue is 0.
     A value starts at most top + max|origin| and grows at most
     (1 + max|basis entry|) fold per basis row; past INT64_SAFE the
     reduction runs in Python ints."""
@@ -316,9 +318,14 @@ def _lattice_reduce(
 
 
 def lattice_points(g: Graph) -> PointSet:
-    """All lattice points of the polytope: indicators of matchable sets."""
-    matrix = matchable_masks(g)[:, None] >> np.arange(g.n) & 1
-    return PointSet(g.n, tuple(map(tuple, matrix.tolist())), matrix)
+    """All lattice points of the polytope: indicators of matchable sets.
+    Built once per graph and kept with its subset tables."""
+    masks = matchable_masks(g)
+    tables = subset_tables(g)
+    if tables.points is None:
+        matrix = masks[:, None] >> np.arange(g.n) & 1
+        tables.points = PointSet(g.n, tuple(map(tuple, matrix.tolist())), matrix)
+    return tables.points
 
 
 def dimension(g: Graph) -> int:
@@ -444,14 +451,15 @@ def _connected_after_internal_deletion(neighbors, s, gam) -> np.ndarray:
     return comp == allowed
 
 
-def _nonbipartite_system(g: Graph, pts: PointSet) -> RowSystem:
+def _nonbipartite_system(g: Graph) -> RowSystem:
     """The rows of `_nonbipartite_rows` with facet flags: the bound rows
     flagged by their ranks (`facet_scan`), an odd-set row by the criterion.
     Every component of S is critical, every component outside S and N is
     nonbipartite, and S + N stays connected without the edges inside N."""
     normals, rhs, masks, gams = _nonbipartite_rows(g)
     bounds = 2 * g.n
-    flags = [facet for _, facet in facet_scan(pts.matrix, g.n, normals[:bounds], rhs[:bounds])]
+    matrix = lattice_points(g).matrix
+    flags = [facet for _, facet in facet_scan(matrix, g.n, normals[:bounds], rhs[:bounds])]
     tables = subset_tables(g)
     facts, _ = tables.component_facts
     outside = facts[g.full_mask & ~(masks | gams)]
@@ -466,14 +474,14 @@ def _nonbipartite_system(g: Graph, pts: PointSet) -> RowSystem:
     )
 
 
-def inequality_system(g: Graph, pts: PointSet | None = None) -> RowSystem:
+def inequality_system(g: Graph) -> RowSystem:
     """Complete inequality description of the polytope with facet flags, as
-    one `RowSystem`.
+    one `RowSystem`, built once per graph and kept with its subset tables.
 
     Connected graphs only.  Bipartite graphs get the bound rows, one row
     per proper nonempty subset of the first color class, and the balance
     pair; nonbipartite graphs get the bound rows (flagged by the ranks of
-    their tight points in `pts`) and one row per admissible odd vertex set.
+    their tight lattice points) and one row per admissible odd vertex set.
     """
     if not is_connected(g):
         raise DisconnectedError("inequality systems are defined per connected graph")
@@ -481,16 +489,11 @@ def inequality_system(g: Graph, pts: PointSet | None = None) -> RowSystem:
         raise TooLargeError(
             f"inequality system enumeration capped at {ENUMERATION_LIMIT} vertices, got {g.n}"
         )
-    if bipartition(g) is not None:
-        return _bipartite_system(g)
-    if pts is None:
-        pts = lattice_points(g)
-    return _nonbipartite_system(g, pts)
-
-
-def membership(system, point, k: int = 1) -> bool:
-    """Whether a point satisfies every inequality of the k-th dilate."""
-    return all(dot(ineq.normal, point) <= k * ineq.rhs for ineq in system)
+    tables = subset_tables(g)
+    if tables.system is None:
+        build = _bipartite_system if bipartition(g) is not None else _nonbipartite_system
+        tables.system = build(g)
+    return tables.system
 
 
 def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
@@ -507,7 +510,7 @@ def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
 def verify_facet_flags(g: Graph) -> FacetCheckReport:
     """Compare criterion facet flags against exact active-set ranks."""
     pts = lattice_points(g)
-    system = inequality_system(g, pts)
+    system = inequality_system(g)
     dim = pts.lattice.rank
     scan = facet_scan(pts.matrix, dim, system.normals, system.rhs)
     disagreements = []
@@ -565,9 +568,7 @@ def _transport_flagged(system: RowSystem, lattice: AffineLattice) -> RowSystem:
     return RowSystem(normals[keep], rhs[keep], facet[keep], tuple(merged.values()))
 
 
-def bipartite_projection(
-    g: Graph, pts: PointSet | None = None, system: RowSystem | None = None
-) -> NormalizedPolytope:
+def bipartite_projection(g: Graph) -> NormalizedPolytope:
     """Normalize a connected bipartite graph's polytope.
 
     Its points span the lattice {x : sum over one color class = sum over the
@@ -578,11 +579,7 @@ def bipartite_projection(
         raise NotBipartiteError("bipartite projection needs a bipartite graph")
     if not is_connected(g):
         raise DisconnectedError("bipartite projection needs a connected graph")
-    if pts is None:
-        pts = lattice_points(g)
-    if system is None:
-        system = inequality_system(g, pts)
-    return normalize_lattice(pts, system)
+    return normalize_lattice(lattice_points(g), inequality_system(g))
 
 
 def normalize_lattice(pts: PointSet, system: RowSystem) -> NormalizedPolytope:
@@ -622,7 +619,7 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     pts = lattice_points(g)
     if len(pts.points) == 1:
         return GorensteinCertificate(1, (), pts.points[0], degenerate=True)
-    norm = normalize_lattice(pts, inequality_system(g, pts))
+    norm = normalize_lattice(pts, inequality_system(g))
     rows = norm.rows
     rhs = rows.rhs[rows.facet].tolist()
     # index t asks for normals . x = t * rhs - 1: one elimination of
@@ -725,7 +722,7 @@ def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
         )
     pts = lattice_points(g)
     if bipartition(g) is not None:
-        system = _bipartite_system(g)
+        system = inequality_system(g)
         normals, rhs = system.normals, system.rhs
     else:
         normals, rhs, _, _ = _nonbipartite_rows(g)

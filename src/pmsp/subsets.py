@@ -5,8 +5,9 @@ about a subset is one array lookup, and a fact about all subsets is one
 numpy pass.  The perfectly matchable family (`matchable_subsets`), the
 lattice points (`polytope.lattice_points`) and the odd-set rows of the
 inequality system (`polytope.inequality_system`) read their facts from
-here.  A graph keeps its tables (`subset_tables`), so the several
-questions asked about one graph build them once.
+here.  A graph keeps its tables (`subset_tables`), and with them its point
+set (whose lattice it spans) and its inequality system, so the several
+questions asked about one graph build each of them once.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .budgets import ENUMERATION_LIMIT
 from .errors import TooLargeError
 from .graph import Graph
-
-ENUMERATION_LIMIT = 20
 
 # bits of `SubsetTables.component_facts`: every component of the mask is
 ODD_SET = 1  # a single vertex, or odd and nonbipartite
@@ -30,6 +30,9 @@ class SubsetTables:
     """The subset tables of one graph, each built on its first use.
 
     Masks are int32, which holds every mask up to the 20-vertex budget.
+    `points` and `system` hold the graph's `PointSet` and `RowSystem` once
+    `polytope.lattice_points` and `polytope.inequality_system` have built
+    them.
     """
 
     def __init__(self, n: int, adj_masks) -> None:
@@ -37,6 +40,8 @@ class SubsetTables:
             raise TooLargeError(f"subset tables support n <= {ENUMERATION_LIMIT}")
         self.n = n
         self.adj_masks = adj_masks
+        self.points = None
+        self.system = None
 
     @cached_property
     def neighbors(self) -> np.ndarray:

@@ -199,6 +199,14 @@ class TestInputForms:
         assert code == 0
         assert json.loads(out) == {"dimension": 3}
 
+    def test_inline_edges_longer_than_a_file_name(self, capsys):
+        """Inline text over the 255-byte name limit is parsed, not looked
+        up as a file."""
+        text = ";".join(f"{v} {v + 1}" for v in range(1, 60))
+        assert len(text.encode()) > 255
+        code, out, err = run_cli(capsys, "dim", "--input", text)
+        assert (code, out, err) == (0, '{"dimension":59}\n', "")
+
     def test_json_file(self, capsys):
         code, out, _ = run_cli(capsys, "dim", "--input", str(FIXTURES / "c4.json"))
         assert code == 0

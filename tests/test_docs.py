@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pmsp
-from pmsp import classify, oracle, polytope, subsets
+from pmsp import budgets
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -49,11 +49,10 @@ def _budget_rows() -> list[list[str]]:
 
 
 def test_budget_table_quotes_the_caps_in_code():
-    modules = (subsets, classify, polytope, oracle)
     rows = _budget_rows()
     for computation, cap, constant in rows:
         name = constant.strip("`")
-        value = next(getattr(m, name) for m in modules if hasattr(m, name))
+        value = getattr(budgets, name)
         caps = [int(x) for x in re.findall(r"\d+(?= vertices| /)", cap)]
         if name == "CORPUS_CAPS":
             families = [f.strip() for f in computation.split(":", 1)[1].split("/")]

@@ -100,15 +100,6 @@ class TestVertexSet:
         assert len(s) == 2
         assert 3 in s and 2 not in s
 
-    def test_set_algebra(self):
-        a = VertexSet.from_vertices([1, 2], 4)
-        b = VertexSet.from_vertices([2, 3], 4)
-        assert a.union(b).members() == (1, 2, 3)
-        assert a.intersection(b).members() == (2,)
-        assert a.difference(b).members() == (1,)
-        assert a.complement().members() == (3, 4)
-        assert a.issubset(a.union(b))
-
 
 class TestConnectivity:
     def test_components(self):

@@ -13,12 +13,12 @@ from pmsp.intlattice import (
     IntRowBasis,
     affine_rank,
     as_integer_vector,
-    dot,
     hnf_rows,
-    lattice_coordinates,
     solve_unique_columns,
     solve_unique_rational,
 )
+
+from .reference import dot, lattice_coordinates
 
 small_vec = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5)
 small_mat = st.integers(min_value=1, max_value=4).flatmap(

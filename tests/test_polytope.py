@@ -30,14 +30,13 @@ from pmsp import (
     inequality_system,
     lattice_points,
     matchable_subsets,
-    membership,
     normalize_lattice,
     path_graph,
     verify_facet_flags,
 )
 from pmsp.polytope import RowSystem
 from pmsp.graph import bipartition, is_connected
-from pmsp.intlattice import _point_matrix, affine_rank, dot, hnf_rows, lattice_coordinates
+from pmsp.intlattice import _point_matrix, affine_rank, hnf_rows
 from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
@@ -50,6 +49,7 @@ from pmsp.polytope import (
 )
 
 from .conftest import fixture_graphs
+from .reference import contains, coordinates, dot, lattice_coordinates, membership
 
 
 class TestLatticePoints:
@@ -97,7 +97,7 @@ class TestInequalitySystem:
     def test_all_points_satisfy_system(self, connected_7):
         for g in connected_7[:120]:
             pts = lattice_points(g)
-            system = inequality_system(g, pts)
+            system = inequality_system(g)
             for p in pts.points:
                 assert membership(system, p)
 
@@ -131,7 +131,7 @@ class TestInequalitySystem:
         for g in connected_7[:60]:
             pts = lattice_points(g)
             got = set(pts.points)
-            system = inequality_system(g, pts)
+            system = inequality_system(g)
             for mask in range(1 << g.n):
                 cand = tuple(mask >> i & 1 for i in range(g.n))
                 if cand not in got:
@@ -142,7 +142,7 @@ class TestFacetLevels:
     def test_levels_are_nonpositive_with_zero(self):
         g = cycle_graph(6)
         pts = lattice_points(g)
-        for ineq in inequality_system(g, pts):
+        for ineq in inequality_system(g):
             if not ineq.facet:
                 continue
             levels = facet_levels(pts, ineq)
@@ -152,13 +152,13 @@ class TestFacetLevels:
     def test_odd_cycle_top_row(self):
         g = cycle_graph(5)
         pts = lattice_points(g)
-        row = next(i for i in inequality_system(g, pts) if i.source == "OddSet(1,2,3,4,5)")
+        row = next(i for i in inequality_system(g) if i.source == "OddSet(1,2,3,4,5)")
         assert facet_levels(pts, row) == (-4, -2, 0)
 
     def test_rejects_non_facet(self):
         g = cycle_graph(4)
         pts = lattice_points(g)
-        balance = next(i for i in inequality_system(g, pts) if not i.facet)
+        balance = next(i for i in inequality_system(g) if not i.facet)
         with pytest.raises(NotAFacetError):
             facet_levels(pts, balance)
 
@@ -174,7 +174,7 @@ def _scan_cases(g):
     """(points, dim, rows, matrix) for the ambient inequality system and for
     its rows transported to the point-lattice normalization."""
     pts = lattice_points(g)
-    system = inequality_system(g, pts)
+    system = inequality_system(g)
     yield pts.points, pts.lattice.rank, system, pts.matrix
     if len(pts.points) < 2:
         return
@@ -260,7 +260,7 @@ class TestNormalization:
     def test_projection_round_trips_points(self):
         g = complete_bipartite_graph(2, 3)
         pts = lattice_points(g)
-        proj = bipartite_projection(g, pts)
+        proj = bipartite_projection(g)
         for original, reduced in zip(pts.points, proj.points):
             assert proj.transform.to_ambient(reduced) == original
 
@@ -293,7 +293,7 @@ class TestNormalization:
             signs = [1 if (side >> i ^ side >> (n - 1)) & 1 else -1 for i in range(n - 1)]
             for i, (row, c) in enumerate(zip(lat.basis, signs)):
                 assert row == tuple(1 if j == i else c if j == n - 1 else 0 for j in range(n))
-            system = inequality_system(g, pts)
+            system = inequality_system(g)
             norm = normalize_lattice(pts, system)
             assert norm.dim == n - 1
             assert norm.points == tuple(p[:-1] for p in pts.points)
@@ -318,13 +318,13 @@ class TestNormalization:
 
     def test_points_reduced_as_one_matrix(self, connected_7):
         """normalize_lattice reduces every point in one numpy pass; each row
-        equals the one-point reduction of `AffineLattice.coordinates`."""
+        equals the one-point reduction of the reference `coordinates`."""
         for g in connected_7[::5]:
             pts = lattice_points(g)
             if len(pts) < 2:
                 continue
             norm = normalize_lattice(pts, _no_rows(g.n))
-            assert norm.points == tuple(pts.lattice.coordinates(p) for p in pts.points)
+            assert norm.points == tuple(coordinates(pts.lattice, p) for p in pts.points)
         lat = lattice_points(cycle_graph(5)).lattice
         units = np.eye(5, dtype=np.int64)
         coords, inside = _lattice_reduce(np.vstack([units, 2 * units]), 2, lat)
@@ -354,9 +354,9 @@ class TestNormalization:
         pts = lattice_points(cycle_graph(5))
         lat = pts.lattice
         assert lat.rank == 5
-        assert not lat.contains((1, 0, 0, 0, 0))
-        assert lat.contains((2, 0, 0, 0, 0))
-        assert lat.contains((1, 1, 0, 0, 0))
+        assert not contains(lat, (1, 0, 0, 0, 0))
+        assert contains(lat, (2, 0, 0, 0, 0))
+        assert contains(lat, (1, 1, 0, 0, 0))
 
 
 class TestTransport:
@@ -406,8 +406,8 @@ class TestTransport:
 
         system = polytope.inequality_system
 
-        def tightened(g, pts=None):
-            rows = system(g, pts)
+        def tightened(g):
+            rows = system(g)
             rhs = rows.rhs.copy()
             rhs[rows.sources.index("UpperOne(1)")] = 0
             return dataclasses.replace(rows, rhs=rhs)
@@ -418,7 +418,7 @@ class TestTransport:
                 gorenstein_geometric(g)
             pts = lattice_points(g)
             with pytest.raises(InconsistentFacetsError, match="violated by a lattice point"):
-                normalize_lattice(pts, tightened(g, pts))
+                normalize_lattice(pts, tightened(g))
 
     def test_oversized_basis_uses_python_ints(self):
         # 3e = 2^64 + 2 wraps to 2 in int64; 2^64 + 1 does not fit at all
@@ -457,7 +457,7 @@ class TestTransport:
             pts = lattice_points(g)
             if len(pts) < 2:
                 continue
-            system = inequality_system(g, pts)
+            system = inequality_system(g)
             lat = pts.lattice
             merged: dict = {}
             for row in system:
@@ -518,8 +518,7 @@ class TestGorensteinGeometric:
     def test_interior_point_strictness(self):
         g = cycle_graph(6)
         cert = gorenstein_geometric(g)
-        pts = lattice_points(g)
-        system = inequality_system(g, pts)
+        system = inequality_system(g)
         alpha = cert.interior_point_ambient
         for ineq in system:
             value = dot(ineq.normal, alpha)
@@ -577,7 +576,7 @@ def _box_idp_checks(g: Graph, k: int) -> dict[str, DilateCheck]:
     lex order, keep the points of the dilate (and of the point lattice in
     normality mode), and look each one up among the tuple sums of k points."""
     pts = lattice_points(g)
-    system = list(inequality_system(g, pts))  # the rows as tuples, made once
+    system = list(inequality_system(g))  # the rows as tuples, made once
     dilate = [z for z in product(range(k + 1), repeat=g.n) if membership(system, z, k)]
     pair_sums = {
         tuple(a + b for a, b in zip(p, q)) for p in pts.points for q in pts.points
@@ -591,7 +590,7 @@ def _box_idp_checks(g: Graph, k: int) -> dict[str, DilateCheck]:
     checks = {}
     for mode in ("idp", "normality"):
         if mode == "normality":
-            dilate = [z for z in dilate if pts.lattice.contains(z)]
+            dilate = [z for z in dilate if contains(pts.lattice, z)]
         witness = next((z for z in dilate if not splits(z)), None)
         checks[mode] = DilateCheck(k, mode, witness is None, witness, len(dilate))
     return checks
@@ -700,7 +699,7 @@ class TestDilateCodes:
         codes = np.arange(16)
         inside = _lattice_codes(codes, weights, 3, lat)
         assert inside.tolist() == [0]
-        assert [c for c in range(16) if lat.contains((c // 4, c % 4))] == [0]
+        assert [c for c in range(16) if contains(lat, (c // 4, c % 4))] == [0]
 
 
 class TestUnflaggedRows:

@@ -2,15 +2,20 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pmsp import (
+    CorpusSpec,
     Graph,
     TooLargeError,
+    agreement_sweep,
     brute_force_matchable,
+    classify_all,
+    generate_corpus,
     inequality_system,
     lattice_points,
     matchable_subsets,
@@ -114,7 +119,7 @@ def matchable_masks(g: Graph) -> frozenset[int]:
     """The matchable masks by brute force, or by the memoized branching
     search over the brute-force budget."""
     if g.n <= BRUTE_FORCE_LIMIT:
-        return brute_force_matchable(g).masks()
+        return frozenset(s.mask for s in brute_force_matchable(g))
     memo: dict[int, bool] = {}
     return frozenset(m for m in range(1 << g.n) if mask_perfectly_matchable(g.adj_masks, m, memo))
 
@@ -128,7 +133,7 @@ def test_tables_match_the_per_mask_loops(connected_7, pseudotrees_9):
         family = matchable_subsets(g)
         assert [s.mask for s in family] == sorted(matchable, key=lambda m: (m.bit_count(), m))
         expected = list(reference_odd_set_rows(g, matchable))
-        system = _nonbipartite_system(g, lattice_points(g))
+        system = _nonbipartite_system(g)
         rows = [(row.normal, row.rhs, row.facet, row.source) for row in system]
         assert rows[2 * g.n :] == expected, g.edges
         normals, rhs, _, _ = _nonbipartite_rows(g)
@@ -152,13 +157,83 @@ def test_closure_matches_the_per_row_search(connected_7):
 
 
 def test_tables_stay_out_of_equality_hash_and_json():
+    """A graph that holds its tables, point set, lattice and row system
+    equals, hashes and serializes like a fresh copy."""
     edges = ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5))
     g, fresh = Graph(5, edges), Graph(5, edges)
     inequality_system(g)
-    assert g._tables is not None and fresh._tables is None
+    assert lattice_points(g).lattice.rank == 5
+    tables = g._tables
+    assert tables.points is not None and tables.system is not None
+    assert fresh._tables is None
     assert g == fresh and hash(g) == hash(fresh)
     assert g.to_json() == fresh.to_json()
     assert subset_tables(g) is subset_tables(g)
+
+
+def test_point_set_and_system_are_kept_read_only():
+    triangle_with_tail = Graph(5, ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5)))
+    for g in (triangle_with_tail, Graph(4, ((1, 2), (2, 3), (3, 4)))):
+        pts, system = lattice_points(g), inequality_system(g)
+        assert lattice_points(g) is pts and inequality_system(g) is system
+        assert pts.lattice is lattice_points(g).lattice
+        for array in (pts.matrix, system.normals, system.rhs, system.facet):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def _count_builds(monkeypatch) -> tuple[Counter, Counter]:
+    """Count the lattices built, keyed by their points, and the inequality
+    systems built, keyed by their graph."""
+    import pmsp.polytope as polytope
+
+    lattices: Counter = Counter()
+    systems: Counter = Counter()
+    from_points = polytope.AffineLattice.from_points.__func__
+
+    def counted_lattice(cls, points):
+        lattices[points.tobytes(), points.shape] += 1
+        return from_points(cls, points)
+
+    def counted(build):
+        def wrapper(g):
+            systems[g] += 1
+            return build(g)
+
+        return wrapper
+
+    monkeypatch.setattr(polytope.AffineLattice, "from_points", classmethod(counted_lattice))
+    for name in ("_bipartite_system", "_nonbipartite_system"):
+        monkeypatch.setattr(polytope, name, counted(getattr(polytope, name)))
+    return lattices, systems
+
+
+def test_sweep_builds_one_lattice_and_one_system_per_graph(monkeypatch):
+    """The level-count oracle and the geometric search of a sweep share the
+    graph's point set, lattice and row system."""
+    spec = CorpusSpec(max_n=6, family="pseudotree")
+    graphs = len(list(generate_corpus(spec)))
+    lattices, systems = _count_builds(monkeypatch)
+    report = agreement_sweep(spec)
+    assert report.ok
+    assert sum(r.property_name == "gorenstein" for r in report.records) == graphs
+    assert len(lattices) == len(systems) == graphs
+    assert set(lattices.values()) == set(systems.values()) == {1}
+
+
+def test_classify_builds_one_lattice_per_component(monkeypatch):
+    """A geometric-route component shares its lattice between the
+    Gorenstein search and the normality dilate check."""
+    nonbip8 = [(1, 2), (1, 5), (1, 7), (2, 3), (2, 7), (2, 8), (3, 6), (3, 8), (4, 5),
+               (5, 7), (6, 8)]
+    lattices, _ = _count_builds(monkeypatch)
+    report = classify_all(Graph(8, nonbip8))
+    assert report.components[0].gorenstein.method == "geometric"
+    assert list(lattices.values()) == [1]
+    lattices.clear()
+    report = classify_all(Graph(11, nonbip8 + [(9, 10), (10, 11), (9, 11)]))
+    assert report.components[0].gorenstein.method == "geometric"
+    assert list(lattices.values()) == [1, 1]
 
 
 def test_over_budget_graph_allocates_no_table():
