@@ -6,7 +6,11 @@ n <= N + 1, and the fixture graphs with n <= 20.  The families are the
 inequality rows, the point lattice, the normalized polytope, the Gorenstein
 certificate, the facet-flag check, the level-count test, the k = 2, 3
 dilate checks, the odd-cycle verdict, `classify_all`, and the `facets`
-verb's JSON and text output.  A computation over its budget contributes the
+verb's JSON and text output.  One more family, the two bipartite deciders
+called directly (`gorenstein_bipartite` and `solve_interior_vector`), runs
+over the `bipartite` corpus alone: `classify_all` sends trees to the
+pseudotree decider, so only a direct call reaches the interior-vector
+search over every index.  A computation over its budget contributes the
 name of the error it raised, as does a disconnected graph where a
 family needs a connected one.  Run it once per checkout and compare:
 
@@ -30,11 +34,13 @@ from pmsp import (
     CorpusSpec,
     PmspError,
     classify_all,
+    gorenstein_bipartite,
     gorenstein_geometric,
     inequality_system,
     lattice_points,
     normalize_lattice,
     odd_cycle_condition,
+    solve_interior_vector,
     sullivant_compressed,
     verify_facet_flags,
 )
@@ -46,9 +52,13 @@ from pmsp.polytope import dilate_checks
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 
+def bipartite_graphs(max_n: int):
+    return generate_corpus(CorpusSpec(max_n=max_n + 1, family="bipartite"))
+
+
 def graphs(max_n: int):
     yield from generate_corpus(CorpusSpec(max_n=max_n))
-    yield from generate_corpus(CorpusSpec(max_n=max_n + 1, family="bipartite"))
+    yield from bipartite_graphs(max_n)
     for path in sorted(FIXTURES.glob("*.edges")):
         g = parse_graph(path.read_text())
         if g.n <= 20:
@@ -88,6 +98,11 @@ def certificate(g):
     return None if cert is None else cert.to_json()
 
 
+def bipartite_deciders(g) -> list:
+    cert = solve_interior_vector(g)
+    return [gorenstein_bipartite(g).to_json(), None if cert is None else cert.to_json()]
+
+
 def dilates(g) -> list:
     return [c.to_json() for k in (2, 3) for c in dilate_checks(g, k, ("idp", "normality"))]
 
@@ -105,18 +120,21 @@ FAMILIES = {
     "facets_json": lambda g: cli_output(g, "json"),
     "facets_text": lambda g: cli_output(g, "text"),
 }
+BIPARTITE_FAMILIES = {"bipartite_deciders": bipartite_deciders}
 
 
 def digest(max_n: int) -> dict[str, str]:
-    hashes = {name: hashlib.sha256() for name in FAMILIES}
-    for g in graphs(max_n):
-        for name, compute in FAMILIES.items():
-            try:
-                value = compute(g)
-            except PmspError as exc:
-                value = f"error: {type(exc).__name__}"
-            record = json.dumps([g.n, list(map(list, g.edges)), value], sort_keys=True)
-            hashes[name].update(record.encode() + b"\n")
+    hashes = {}
+    for families, source in ((FAMILIES, graphs), (BIPARTITE_FAMILIES, bipartite_graphs)):
+        hashes.update({name: hashlib.sha256() for name in families})
+        for g in source(max_n):
+            for name, compute in families.items():
+                try:
+                    value = compute(g)
+                except PmspError as exc:
+                    value = f"error: {type(exc).__name__}"
+                record = json.dumps([g.n, list(map(list, g.edges)), value], sort_keys=True)
+                hashes[name].update(record.encode() + b"\n")
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 

@@ -1,9 +1,12 @@
 """Graph-side deciders for polytope properties.
 
-Each decider reads off the answer from graph structure alone (block shapes,
-degree patterns, neighborhood sizes) and returns a Verdict carrying the
-method used, an optional witness for negative answers, and a Gorenstein
-certificate for positive ones.  The geometric routines in the polytope
+Each decider reads off the answer from the graph (block shapes, degree
+patterns, the complete multipartite table) and returns a Verdict carrying
+the method used, an optional witness for negative answers, and a Gorenstein
+certificate for positive ones.  The two bipartite deciders read the cut rows
+of the graph's kept inequality system (`inequality_system`) instead of
+scanning subsets themselves: one product tests the vectors the bound facets
+pin down against every facet row.  The geometric routines in the polytope
 module serve as independent cross-checks.
 """
 
@@ -29,7 +32,6 @@ from .errors import (
 from .graph import (
     Graph,
     as_integer,
-    bipartite_cuts,
     bipartition,
     blocks_and_cut_vertices,
     connected_components,
@@ -47,6 +49,7 @@ from .polytope import (
     dilate_checks,
     dimension,
     gorenstein_geometric,
+    inequality_system,
 )
 from .subsets import subset_tables
 
@@ -118,28 +121,66 @@ def _members(mask: int) -> list[int]:
     return list(mask_vertices(mask))
 
 
+def _checked_cut_vertices(g: Graph, name: str) -> int:
+    """The cut vertex mask of g, once g has passed the guards of the
+    bipartite deciders: bipartite, connected and within the subset-scan
+    budget.  `name` names the decider in the error messages."""
+    if bipartition(g) is None:
+        raise NotBipartiteError(f"{name} needs a bipartite graph")
+    if not is_connected(g):
+        raise DisconnectedError(f"{name} needs a connected graph")
+    if g.n > SUBSET_SCAN_LIMIT:
+        raise TooLargeError(f"subset scan capped at {SUBSET_SCAN_LIMIT} vertices, got {g.n}")
+    return cut_vertex_mask(g)
+
+
+def _pinned_vectors(g: Graph, cuts: int, top: int):
+    """The vectors the bound facets pin down for the indices t = 2..top and
+    how the graph's inequality system meets them, all in one product.
+
+    Returns (alphas, normals, misses, balanced): `alphas` has one row per t,
+    1 on a non-cut vertex and t - 1 on a cut vertex; `normals` are the
+    facet rows of the system, and `misses[i, t - 2]` holds when facet row i
+    does not meet the vector of t at lattice distance one (normal . alpha
+    != t * rhs - 1); `balanced` holds per t when the color classes carry
+    equal weight (the system's balance row is 0).
+    """
+    system = inequality_system(g)
+    t = np.arange(2, top + 1)
+    alphas = np.where(cuts >> np.arange(g.n) & 1, t[:, None] - 1, 1)
+    values = system.normals @ alphas.T
+    misses = values[system.facet] != t * system.rhs[system.facet, None] - 1
+    return alphas, system.normals[system.facet], misses, values[-2] == 0
+
+
+def _interior_vector(g: Graph, cuts: int) -> GorensteinCertificate | None:
+    if g.n == 1:
+        return GorensteinCertificate(1, (), (0,), degenerate=True)
+    alphas, _, misses, balanced = _pinned_vectors(g, cuts, g.n)
+    passing = np.flatnonzero(balanced & ~misses.any(axis=0))
+    if not passing.size:
+        return None
+    alpha = tuple(alphas[passing[0]].tolist())
+    return GorensteinCertificate(int(passing[0]) + 2, alpha[:-1], alpha)
+
+
 def gorenstein_bipartite(g: Graph) -> Verdict:
     """Neighborhood-surplus test for connected bipartite graphs.
 
     When some non-cut vertex has degree at least two, the polytope is
     Gorenstein (necessarily of index 2) exactly when the graph has a perfect
-    matching and every relevant subset S of the first color class satisfies
-    |N(S)| = |S| + 1.  Without such a vertex the forced interior-vector
-    system decides instead.
+    matching and every facet cut row of `inequality_system` meets the
+    all-ones vector at distance one, that is, every relevant subset S of
+    the first color class satisfies |N(S)| = |S| + 1.  The witness is the
+    first cut row that fails.  Without such a vertex the forced
+    interior-vector system decides instead.
     """
-    sides = bipartition(g)
-    if sides is None:
-        raise NotBipartiteError("gorenstein_bipartite needs a bipartite graph")
-    if not is_connected(g):
-        raise DisconnectedError("gorenstein_bipartite needs a connected graph")
-    if g.n > SUBSET_SCAN_LIMIT:
-        raise TooLargeError(f"subset scan capped at {SUBSET_SCAN_LIMIT} vertices, got {g.n}")
-    cuts = cut_vertex_mask(g)
+    cuts = _checked_cut_vertices(g, "gorenstein_bipartite")
     hypothesis = any(
         g.degree(v) >= 2 and not (cuts >> (v - 1)) & 1 for v in g.vertices()
     )
     if not hypothesis:
-        cert = solve_interior_vector(g)
+        cert = _interior_vector(g, cuts)
         return Verdict(
             "gorenstein",
             cert is not None,
@@ -155,16 +196,20 @@ def gorenstein_bipartite(g: Graph) -> Verdict:
             "neighborhood-surplus",
             witness={"reason": "no-perfect-matching"},
         )
-    v1m, v2m = sides[0].mask, sides[1].mask
-    for s, gam, facet in bipartite_cuts(g, v1m, v2m):
-        if facet and gam.bit_count() != s.bit_count() + 1:
-            return Verdict(
-                "gorenstein",
-                False,
-                "neighborhood-surplus",
-                witness={"subset": _members(s), "neighborhood": _members(gam)},
-            )
-    ones = (1,) * g.n
+    alphas, normals, misses, _ = _pinned_vectors(g, cuts, 2)
+    failed = np.flatnonzero(misses[:, 0])
+    if failed.size:
+        row = normals[failed[0]]
+        return Verdict(
+            "gorenstein",
+            False,
+            "neighborhood-surplus",
+            witness={
+                "subset": (np.flatnonzero(row == 1) + 1).tolist(),
+                "neighborhood": (np.flatnonzero(row == -1) + 1).tolist(),
+            },
+        )
+    ones = tuple(alphas[0].tolist())
     cert = GorensteinCertificate(2, ones[:-1], ones)
     return Verdict("gorenstein", True, "neighborhood-surplus", certificate=cert)
 
@@ -174,44 +219,10 @@ def solve_interior_vector(g: Graph) -> GorensteinCertificate | None:
 
     Every coordinate is pinned: non-cut vertices take 1, cut vertices take
     index-1.  A candidate index works when the two color classes balance and
-    every relevant subset has surplus exactly one in weighted form.
+    the vector meets every facet row of `inequality_system` at lattice
+    distance one; the first index from 2 up that works is returned.
     """
-    sides = bipartition(g)
-    if sides is None:
-        raise NotBipartiteError("the interior-vector system needs a bipartite graph")
-    if not is_connected(g):
-        raise DisconnectedError("the interior-vector system needs a connected graph")
-    if g.n > SUBSET_SCAN_LIMIT:
-        raise TooLargeError(f"subset scan capped at {SUBSET_SCAN_LIMIT} vertices, got {g.n}")
-    if g.n == 1:
-        return GorensteinCertificate(1, (), (0,), degenerate=True)
-    cuts = cut_vertex_mask(g)
-    pinned = any(
-        g.degree(v) >= 2 and not (cuts >> (v - 1)) & 1 for v in g.vertices()
-    )
-    indices = (2,) if pinned else range(2, g.n + 1)
-    v1m = sides[0].mask
-    for index in indices:
-        alpha = [
-            1 if not (cuts >> (v - 1)) & 1 else index - 1 for v in g.vertices()
-        ]
-        balance = sum(
-            a if (v1m >> i) & 1 else -a for i, a in enumerate(alpha)
-        )
-        if balance != 0:
-            continue
-        if all(
-            sum(
-                a if (s >> i) & 1 else (-a if (gam >> i) & 1 else 0)
-                for i, a in enumerate(alpha)
-            )
-            == -1
-            for s, gam, facet in bipartite_cuts(g, v1m, sides[1].mask)
-            if facet
-        ):
-            ambient = tuple(alpha)
-            return GorensteinCertificate(index, ambient[:-1], ambient)
-    return None
+    return _interior_vector(g, _checked_cut_vertices(g, "the interior-vector system"))
 
 
 def gorenstein_pseudotree(g: Graph) -> Verdict:

@@ -157,8 +157,8 @@ def _run_points(g: Graph, args) -> int:
     if args.format == "json":
         _emit(_dump(pts.to_json()))
     else:
-        _emit(f"n={g.n} points={len(pts.points)}")
-        for p in pts.points:
+        _emit(f"n={g.n} points={len(pts)}")
+        for p in pts.matrix.tolist():
             _emit(" ".join(map(str, p)))
     return EXIT_TRUE
 

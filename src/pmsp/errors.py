@@ -33,10 +33,6 @@ class TooLargeError(PmspError):
     """Input exceeds the enumeration budget of the operation."""
 
 
-class NotAFacetError(PmspError):
-    """Level sets are only defined for facet-inducing inequalities."""
-
-
 class UnsupportedShapeError(PmspError):
     """Complete multipartite shape outside the classified families."""
 

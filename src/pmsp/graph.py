@@ -371,17 +371,6 @@ def bipartition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     return VertexSet(m1, g.n), VertexSet(g.full_mask ^ m1, g.n)
 
 
-def bipartite_cuts(g: Graph, v1m: int, v2m: int):
-    """Yield (S, N(S), facet) for every proper nonempty subset S of the color
-    class `v1m`, sorted by (cardinality, bitmask); facet holds when S plus
-    N(S) and the complementary pair both induce connected subgraphs."""
-    adj = g.adj_masks
-    for s in proper_nonempty_submasks(v1m):
-        gam = mask_neighborhood(adj, s)
-        rest = (v1m & ~s) | (v2m & ~gam)
-        yield s, gam, mask_is_connected(adj, s | gam) and mask_is_connected(adj, rest)
-
-
 @dataclass(frozen=True)
 class BlockKind:
     """Shape tag for a block: CompleteBipartite(p,q), K4, K11n(q), or Other."""

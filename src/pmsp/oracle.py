@@ -90,7 +90,7 @@ def sullivant_compressed(g: Graph):
                 "source": source,
                 "levels": [v - rhs for v in distinct],
                 "values": distinct,
-                "points": [list(pts.points[values.index(v)]) for v in distinct[:3]],
+                "points": [pts.matrix[values.index(v)].tolist() for v in distinct[:3]],
             }
             return False, witness
     return True, None

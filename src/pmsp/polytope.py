@@ -11,15 +11,17 @@ A point set is one integer matrix, one row per point: the 0/1 rows of
 `PointSet.matrix`, or the coordinate rows `normalize_lattice` reduces.  An
 inequality system is one `RowSystem`: a matrix of normals with vectors of
 right-hand sides, facet flags and sources, one entry per row.  The row
-builders emit it, the transport to lattice coordinates, the validity guard,
-the facet scans and the Gorenstein search read its arrays, and the values
-of all rows over all points come from block products (`_row_values`).  The
-tuples of `PointSet.points` and `NormalizedPolytope.points`, and the
-`AffineInequality` rows a `RowSystem` yields when iterated, are the public
-view.  A graph keeps its point set (with the lattice it spans) and its
-system with its subset tables: `lattice_points` and `inequality_system`
-build each once per graph, with read-only arrays, and every routine asking
-about that graph reads the same objects.
+builders emit it; the transport to lattice coordinates, the validity guard,
+the facet scans, the Gorenstein search, the dilate checks, the `facets`
+JSON writer and the bipartite deciders of `classify` read its arrays; and
+the values of all rows over all points come from block products
+(`_row_values`).  The tuples of `PointSet.points` (built on first read)
+and `NormalizedPolytope.points`, and the `AffineInequality` rows a
+`RowSystem` yields when iterated, are the public view.  A graph keeps its
+point set (with the lattice it spans) and its system with its subset
+tables: `lattice_points` and `inequality_system` build each once per graph,
+with read-only arrays, and every routine asking about that graph reads the
+same objects.
 
 There is one normalization: points and rows are rewritten in the Hermite
 basis of the lattice the points span (`normalize_lattice`).  For a connected
@@ -40,18 +42,19 @@ from .errors import (
     DegeneratePointSetError,
     DisconnectedError,
     InconsistentFacetsError,
-    NotAFacetError,
     NotBipartiteError,
     TooLargeError,
 )
 from .graph import (
     Graph,
-    bipartite_cuts,
     bipartition,
     cut_vertex_mask,
     is_connected,
     mask_components,
+    mask_is_connected,
+    mask_neighborhood,
     mask_two_color,
+    proper_nonempty_submasks,
 )
 from .intlattice import (
     INT64_SAFE,
@@ -114,31 +117,35 @@ class AffineLattice:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Indicator vectors of the matchable sets, as the 0/1 rows of a
-    read-only int64 `matrix` (what every scan reads) and as tuples, plus
-    the affine lattice they span."""
+    read-only int64 `matrix`, plus the affine lattice they span.  `points`
+    is a tuple view of the rows, built on first read.  Point sets compare
+    by identity; compare `points` for the rows."""
 
     ambient_n: int
-    points: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray = field(compare=False, repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @cached_property
     def lattice(self) -> AffineLattice:
         return AffineLattice.from_points(self.matrix)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.matrix)
 
     def to_json(self) -> dict:
         return {
             "ambient_dimension": self.ambient_n,
-            "count": len(self.points),
-            "points": [list(p) for p in self.points],
+            "count": len(self),
+            "points": self.matrix.tolist(),
         }
 
 
@@ -324,7 +331,7 @@ def lattice_points(g: Graph) -> PointSet:
     tables = subset_tables(g)
     if tables.points is None:
         matrix = masks[:, None] >> np.arange(g.n) & 1
-        tables.points = PointSet(g.n, tuple(map(tuple, matrix.tolist())), matrix)
+        tables.points = PointSet(g.n, matrix)
     return tables.points
 
 
@@ -392,13 +399,25 @@ def _bounds(n: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def _bipartite_system(g: Graph) -> RowSystem:
+    """The rows of a connected bipartite graph's system with facet flags:
+    the bound rows, one cut row per proper nonempty subset S of the first
+    color class, sorted by (cardinality, mask), and the balance pair.  The
+    cut row of S is 1 on S and -1 on its neighborhood N(S), rhs 0, and a
+    facet when S + N(S) and the rest of the graph both induce connected
+    subgraphs.  This is the one scan of the color-class subsets: the
+    bipartite deciders of `classify` read these rows."""
     v1, v2 = bipartition(g)
     n = g.n
     normals, rhs, sources = _bounds(n)
     cuts = cut_vertex_mask(g)
     flags = [n > 1 and not cuts >> (v - 1) & 1 for v in g.vertices()]
     flags += [n > 1 and (g.edge_count == 1 or g.degree(v) >= 2) for v in g.vertices()]
-    found = list(bipartite_cuts(g, v1.mask, v2.mask))
+    adj = g.adj_masks
+    found = []
+    for s in proper_nonempty_submasks(v1.mask):
+        gam = mask_neighborhood(adj, s)
+        rest = v1.mask & ~s | v2.mask & ~gam
+        found.append((s, gam, mask_is_connected(adj, s | gam) and mask_is_connected(adj, rest)))
     subs, gams, facets = np.array(found, dtype=np.int64).reshape(-1, 3).T
     bit = np.arange(n)
     balance = np.where(v1.mask >> bit & 1, 1, -1)
@@ -496,17 +515,6 @@ def inequality_system(g: Graph) -> RowSystem:
     return tables.system
 
 
-def facet_levels(pts: PointSet, ineq: AffineInequality) -> tuple[int, ...]:
-    """Distinct values of normal . x - rhs over the lattice points, ascending.
-
-    Every level is <= 0, and a facet row always realises level 0.
-    """
-    if not ineq.facet:
-        raise NotAFacetError(f"row {ineq.source} is not flagged as a facet")
-    ((_, values),) = _row_values(_point_matrix([ineq.normal]), pts.matrix)
-    return tuple(v - ineq.rhs for v in np.unique(values).tolist())
-
-
 def verify_facet_flags(g: Graph) -> FacetCheckReport:
     """Compare criterion facet flags against exact active-set ranks."""
     pts = lattice_points(g)
@@ -587,7 +595,7 @@ def normalize_lattice(pts: PointSet, system: RowSystem) -> NormalizedPolytope:
     lattice its points span.  A row that some lattice point violates raises
     InconsistentFacetsError; the check is one comparison per block of
     row values."""
-    if len(pts.points) < 2:
+    if len(pts) < 2:
         raise DegeneratePointSetError("need at least two points to normalize")
     lat = pts.lattice
     coords, inside = _lattice_reduce(pts.matrix, 1, lat)
@@ -617,8 +625,8 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     if not is_connected(g):
         raise DisconnectedError("the geometric decision procedure needs a connected graph")
     pts = lattice_points(g)
-    if len(pts.points) == 1:
-        return GorensteinCertificate(1, (), pts.points[0], degenerate=True)
+    if len(pts) == 1:
+        return GorensteinCertificate(1, (), tuple(pts.matrix[0].tolist()), degenerate=True)
     norm = normalize_lattice(pts, inequality_system(g))
     rows = norm.rows
     rhs = rows.rhs[rows.facet].tolist()

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from pmsp import (
     Graph,
     UnsupportedShapeError,
     VertexSet,
+    bipartition,
     classify_all,
     complete_bipartite_graph,
     complete_graph,
@@ -34,9 +36,23 @@ from pmsp.cli import main
 from pmsp.graph import connected_components, mask_is_connected, mask_vertices
 from pmsp.polytope import DILATE_VERTEX_LIMIT
 
+from . import reference
 from .conftest import FIXTURES, decorated_even_cycle, fixture_graphs, three_block_graph
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _seeded_bipartite(rng: random.Random, n: int, density: float) -> Graph:
+    """A random tree on n vertices plus each missing edge between its color
+    classes with probability `density`: connected and bipartite."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    side = {1: 0}
+    for u, v in sorted(edges, key=lambda e: e[1]):
+        side[v] = 1 - side[u]
+    for u, v in combinations(range(1, n + 1), 2):
+        if side[u] != side[v] and rng.random() < density:
+            edges.add((u, v))
+    return Graph(n, tuple(sorted(edges)))
 
 
 class TestCompressed:
@@ -83,9 +99,12 @@ class TestGorensteinBipartite:
         assert verdict.certificate.interior_point_ambient == (1,) * 6
 
     def test_k23_no_perfect_matching(self):
-        verdict = gorenstein_bipartite(complete_bipartite_graph(2, 3))
+        g = complete_bipartite_graph(2, 3)
+        verdict = gorenstein_bipartite(g)
         assert not verdict.value
         assert verdict.witness == {"reason": "no-perfect-matching"}
+        # the answer comes before the row system is built
+        assert g._tables is None or g._tables.system is None
 
     def test_surplus_violation_witnessed(self):
         # has the matching 1-4, 2-5, 3-6 but vertex 5 sees only vertex 2,
@@ -121,6 +140,55 @@ class TestGorensteinBipartite:
             assert verdict.value == (cert is not None)
             if verdict.value and verdict.certificate is not None:
                 assert verdict.certificate.index == cert.index
+
+    def test_matches_the_per_subset_reference(self, bipartite_8):
+        """Both deciders give the verdicts and certificates of the loops over
+        the color-class subsets, on the corpus and on seeded graphs up to 16
+        vertices, trees (the interior-vector route) and stars included."""
+        graphs = list(bipartite_8) + [complete_bipartite_graph(1, k) for k in range(1, 8)]
+        rng = random.Random(13)
+        for n in range(4, 17):
+            for density in (0.0, 0.0, 0.15, 0.3, 0.5, 0.8):
+                graphs.append(_seeded_bipartite(rng, n, density))
+        routes = set()
+        for g in graphs:
+            verdict = gorenstein_bipartite(g)
+            assert verdict.to_json() == reference.gorenstein_bipartite(g).to_json(), g
+            assert solve_interior_vector(g) == reference.solve_interior_vector(g), g
+            routes.add((verdict.method, verdict.value))
+        assert routes == {
+            ("neighborhood-surplus", True),
+            ("neighborhood-surplus", False),
+            ("interior-vector-system", True),
+            ("interior-vector-system", False),
+        }
+
+    def test_classify_scans_the_color_class_once(self, monkeypatch):
+        """K_{3,3} takes the neighborhood-surplus route and has its dilate
+        checks; both read the one row system, so the subsets of the first
+        color class are enumerated once."""
+        import pmsp.graph
+        import pmsp.matchable
+        import pmsp.polytope
+
+        scans = Counter()
+
+        def counted(enumerate_submasks):
+            def wrapper(mask):
+                scans[mask] += 1
+                return enumerate_submasks(mask)
+
+            return wrapper
+
+        for module in (pmsp.graph, pmsp.matchable, pmsp.polytope):
+            monkeypatch.setattr(
+                module, "proper_nonempty_submasks", counted(module.proper_nonempty_submasks)
+            )
+        g = complete_bipartite_graph(3, 3)
+        report = classify_all(g)
+        assert report.components[0].gorenstein.method == "neighborhood-surplus"
+        assert report.components[0].dilate_checks
+        assert scans == {bipartition(g)[0].mask: 1}
 
 
 class TestGorensteinPseudotree:

@@ -16,14 +16,12 @@ from pmsp import (
     DisconnectedError,
     Graph,
     InconsistentFacetsError,
-    NotAFacetError,
     TooLargeError,
     bipartite_projection,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     dimension,
-    facet_levels,
     generate_corpus,
     gorenstein_geometric,
     idp_check,
@@ -139,28 +137,26 @@ class TestInequalitySystem:
 
 
 class TestFacetLevels:
+    """The levels of a facet row are the distinct values of normal . x - rhs
+    over the lattice points, read off the values `facet_scan` yields."""
+
+    @staticmethod
+    def _levels(g):
+        pts, system = lattice_points(g), inequality_system(g)
+        scan = facet_scan(pts.matrix, pts.lattice.rank, system.normals, system.rhs)
+        for (values, _), row in zip(scan, system):
+            if row.facet:
+                yield row.source, (np.unique(values) - row.rhs).tolist()
+
     def test_levels_are_nonpositive_with_zero(self):
-        g = cycle_graph(6)
-        pts = lattice_points(g)
-        for ineq in inequality_system(g):
-            if not ineq.facet:
-                continue
-            levels = facet_levels(pts, ineq)
-            assert levels[-1] == 0
-            assert all(v <= 0 for v in levels)
+        levels = dict(self._levels(cycle_graph(6)))
+        assert levels
+        for row_levels in levels.values():
+            assert row_levels[-1] == 0
+            assert all(v <= 0 for v in row_levels)
 
     def test_odd_cycle_top_row(self):
-        g = cycle_graph(5)
-        pts = lattice_points(g)
-        row = next(i for i in inequality_system(g) if i.source == "OddSet(1,2,3,4,5)")
-        assert facet_levels(pts, row) == (-4, -2, 0)
-
-    def test_rejects_non_facet(self):
-        g = cycle_graph(4)
-        pts = lattice_points(g)
-        balance = next(i for i in inequality_system(g) if not i.facet)
-        with pytest.raises(NotAFacetError):
-            facet_levels(pts, balance)
+        assert dict(self._levels(cycle_graph(5)))["OddSet(1,2,3,4,5)"] == [-4, -2, 0]
 
 
 class TestVerifyFacetFlags:
@@ -224,7 +220,14 @@ class TestFacetScan:
         assert checked > 5000
 
     def test_point_set_views_agree(self):
-        pts = lattice_points(complete_graph(4))
+        g = complete_graph(4)
+        pts = lattice_points(g)
+        # the scans, the search and the JSON read the matrix; the tuple
+        # view is built on first read
+        gorenstein_geometric(g)
+        assert pts.to_json()["points"] == pts.matrix.tolist()
+        assert len(pts) == len(pts.matrix)
+        assert "points" not in vars(pts)
         assert pts.matrix.dtype == np.int64
         assert [tuple(r) for r in pts.matrix.tolist()] == list(pts.points)
         masks = [s.mask for s in matchable_subsets(complete_graph(4))]
