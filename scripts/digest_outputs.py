@@ -10,9 +10,16 @@ verb's JSON and text output.  One more family, the two bipartite deciders
 called directly (`gorenstein_bipartite` and `solve_interior_vector`), runs
 over the `bipartite` corpus alone: `classify_all` sends trees to the
 pseudotree decider, so only a direct call reaches the interior-vector
-search over every index.  A computation over its budget contributes the
-name of the error it raised, as does a disconnected graph where a
-family needs a connected one.  Run it once per checkout and compare:
+search over every index.  The `structure` family digests the graph layer
+and the structural deciders called directly: the blocks, cut vertices and
+block kinds with `compressed_by_theorem` over the `all` corpus with n <= N;
+`compressed_by_theorem` and `odd_cycle_condition` over the disjoint unions
+of two such graphs with n <= N + 1 (`classify_all` splits components
+first, so no other family reaches a disconnected graph's component
+table); and `gorenstein_pseudotree` over the `pseudotree` corpus with
+n <= N + 2.  A computation over its budget contributes the name of the
+error it raised, as does a disconnected graph where a family needs a
+connected one.  Run it once per checkout and compare:
 
     PYTHONPATH=src python3 scripts/digest_outputs.py --max-n 6
 
@@ -32,10 +39,14 @@ from pathlib import Path
 
 from pmsp import (
     CorpusSpec,
+    Graph,
     PmspError,
+    blocks_and_cut_vertices,
     classify_all,
+    compressed_by_theorem,
     gorenstein_bipartite,
     gorenstein_geometric,
+    gorenstein_pseudotree,
     inequality_system,
     lattice_points,
     normalize_lattice,
@@ -56,8 +67,27 @@ def bipartite_graphs(max_n: int):
     return generate_corpus(CorpusSpec(max_n=max_n + 1, family="bipartite"))
 
 
+def connected_graphs(max_n: int):
+    return generate_corpus(CorpusSpec(max_n=max_n))
+
+
+def disjoint_unions(max_n: int):
+    """Every unordered pair of `all` corpus graphs, side by side, with at
+    most N + 1 vertices in total."""
+    small = list(connected_graphs(max_n))
+    for i, a in enumerate(small):
+        for b in small[i:]:
+            if a.n + b.n <= max_n + 1:
+                shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
+                yield Graph(a.n + b.n, a.edges + shifted)
+
+
+def pseudotrees(max_n: int):
+    return generate_corpus(CorpusSpec(max_n=max_n + 2, family="pseudotree"))
+
+
 def graphs(max_n: int):
-    yield from generate_corpus(CorpusSpec(max_n=max_n))
+    yield from connected_graphs(max_n)
     yield from bipartite_graphs(max_n)
     for path in sorted(FIXTURES.glob("*.edges")):
         g = parse_graph(path.read_text())
@@ -103,6 +133,20 @@ def bipartite_deciders(g) -> list:
     return [gorenstein_bipartite(g).to_json(), None if cert is None else cert.to_json()]
 
 
+def blocks(g) -> list:
+    dec = blocks_and_cut_vertices(g)
+    return [
+        [[list(e) for e in block] for block in dec.blocks],
+        list(dec.cut_vertices.members()),
+        [str(kind) for kind in dec.block_kinds],
+        compressed_by_theorem(g).to_json(),
+    ]
+
+
+def component_tables(g) -> list:
+    return [compressed_by_theorem(g).to_json(), odd_cycle_condition(g).to_json()]
+
+
 def dilates(g) -> list:
     return [c.to_json() for k in (2, 3) for c in dilate_checks(g, k, ("idp", "normality"))]
 
@@ -120,13 +164,22 @@ FAMILIES = {
     "facets_json": lambda g: cli_output(g, "json"),
     "facets_text": lambda g: cli_output(g, "text"),
 }
-BIPARTITE_FAMILIES = {"bipartite_deciders": bipartite_deciders}
+# (families, graph source) pairs; a family named under several sources
+# digests all of them in this order
+SOURCES = (
+    (FAMILIES, graphs),
+    ({"bipartite_deciders": bipartite_deciders}, bipartite_graphs),
+    ({"structure": blocks}, connected_graphs),
+    ({"structure": component_tables}, disjoint_unions),
+    ({"structure": lambda g: gorenstein_pseudotree(g).to_json()}, pseudotrees),
+)
 
 
 def digest(max_n: int) -> dict[str, str]:
     hashes = {}
-    for families, source in ((FAMILIES, graphs), (BIPARTITE_FAMILIES, bipartite_graphs)):
-        hashes.update({name: hashlib.sha256() for name in families})
+    for families, source in SOURCES:
+        for name in families:
+            hashes.setdefault(name, hashlib.sha256())
         for g in source(max_n):
             for name, compute in families.items():
                 try:

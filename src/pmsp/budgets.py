@@ -1,10 +1,12 @@
-"""The budget caps of every exhaustive computation, in one table.
+"""The budget caps of every exhaustive computation and of the graph itself,
+in one table.
 
 Each cap counts vertices (`CORPUS_CAPS` per corpus family), and each is
 checked before the computation it guards allocates any work.  README's
 Budgets table quotes these values.
 """
 
+GRAPH_VERTEX_LIMIT = 1 << 16  # any graph, checked before its adjacency is built
 ENUMERATION_LIMIT = 20  # subset tables, matchable sets, inequality systems
 SUBSET_SCAN_LIMIT = 20  # bipartite subset scans
 ODD_CYCLE_VERTEX_LIMIT = 16  # disjoint odd cycle scan

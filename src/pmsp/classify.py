@@ -87,10 +87,7 @@ def compressed_by_theorem(g: Graph) -> Verdict:
     at most one exceptional block shaped K4 or K_{1,1,q}.
     """
     dec = blocks_and_cut_vertices(g)
-    comp_id: dict[int, int] = {}
-    for idx, comp in enumerate(connected_components(g)):
-        for v in comp:
-            comp_id[v] = idx
+    comp_id = _component_index(g)
     exceptional: dict[int, tuple[tuple[int, int], ...]] = {}
     for block, kind in zip(dec.blocks, dec.block_kinds):
         if kind.name == "CompleteBipartite":
@@ -119,6 +116,16 @@ def compressed_by_theorem(g: Graph) -> Verdict:
 
 def _members(mask: int) -> list[int]:
     return list(mask_vertices(mask))
+
+
+def _component_index(g: Graph) -> list[int]:
+    """Index of each vertex's connected component, by minimum vertex (entry
+    0 unused)."""
+    index = [0] * (g.n + 1)
+    for idx, comp in enumerate(connected_components(g)):
+        for v in comp:
+            index[v] = idx
+    return index
 
 
 def _checked_cut_vertices(g: Graph, name: str) -> int:
@@ -232,12 +239,13 @@ def gorenstein_pseudotree(g: Graph) -> Verdict:
     degrees, the five-cycle, triangles with matching attachment degrees, and
     even cycles of uniform degree with attachment degrees in {1, degree-1}.
     """
-    profile = pseudotree_profile(g)
-    if profile is None:
+    cycle = pseudotree_profile(g)
+    if cycle is None:
         raise NotPseudotreeError("gorenstein_pseudotree needs at most one cycle")
     method = "pseudotree-degree-cases"
     degrees = [g.degree(v) for v in g.vertices()]
-    if profile.cycle is None:
+    length = len(cycle)
+    if not length:
         if g.n == 1:
             cert = GorensteinCertificate(1, (), (0,), degenerate=True)
             return Verdict(
@@ -265,8 +273,7 @@ def gorenstein_pseudotree(g: Graph) -> Verdict:
         return Verdict(
             "gorenstein", True, method, witness={"case": "bidegreed-tree"}, certificate=cert
         )
-    length = len(profile.cycle)
-    if profile.cycle_parity == "odd":
+    if length % 2:
         if length == 5:
             if g.n == 5:
                 return Verdict(
@@ -279,13 +286,11 @@ def gorenstein_pseudotree(g: Graph) -> Verdict:
                 witness={"reason": "five-cycle-with-attachments"},
             )
         if length == 3:
-            bad_cycle = [
-                v for v in profile.cycle_vertices if g.degree(v) not in (2, 3)
-            ]
+            bad_cycle = [v for v in cycle if g.degree(v) not in (2, 3)]
             bad_rest = [
                 v
                 for v in g.vertices()
-                if v not in profile.cycle_vertices and g.degree(v) not in (1, 3)
+                if v not in cycle and g.degree(v) not in (1, 3)
             ]
             if bad_cycle or bad_rest:
                 return Verdict(
@@ -306,7 +311,7 @@ def gorenstein_pseudotree(g: Graph) -> Verdict:
             method,
             witness={"reason": "odd-cycle-length-unsupported", "cycle_length": length},
         )
-    cycle_degrees = sorted({g.degree(v) for v in profile.cycle_vertices})
+    cycle_degrees = sorted({g.degree(v) for v in cycle})
     if len(cycle_degrees) != 1:
         return Verdict(
             "gorenstein",
@@ -318,7 +323,7 @@ def gorenstein_pseudotree(g: Graph) -> Verdict:
     offending = [
         v
         for v in g.vertices()
-        if v not in profile.cycle_vertices and g.degree(v) not in (1, index - 1)
+        if v not in cycle and g.degree(v) not in (1, index - 1)
     ]
     if offending:
         return Verdict(
@@ -413,10 +418,7 @@ def odd_cycle_condition(g: Graph) -> Verdict:
         outside = masks >> (v - 1) & 1 == 0
         masks = masks[outside | (np.bitwise_count(masks & adj[v]) == 2)]
     cycles = masks.tolist()
-    comp_id: dict[int, int] = {}
-    for idx, comp in enumerate(connected_components(g)):
-        for v in comp:
-            comp_id[v] = idx
+    comp_id = _component_index(g)
     for i, a in enumerate(cycles):
         for b in cycles[i + 1 :]:
             if a & b:
@@ -448,7 +450,7 @@ def gorenstein_decide(g: Graph) -> Verdict:
             "single-vertex",
             certificate=GorensteinCertificate(1, (), (0,), degenerate=True),
         )
-    if pseudotree_profile(g) is not None:
+    if g.edge_count <= g.n:
         return gorenstein_pseudotree(g)
     if bipartition(g) is not None:
         return gorenstein_bipartite(g)

@@ -4,6 +4,13 @@ Vertices are labelled 1..n and bit v-1 of a mask stands for vertex v, so
 subset work is plain integer arithmetic.  Everything that returns vertices,
 edges, or families of sets uses a fixed canonical order (sorted labels,
 lexicographic edges) to keep downstream output byte-stable.
+
+A graph holds at most `GRAPH_VERTEX_LIMIT` vertices, checked before the
+adjacency masks are allocated.  Each structural question takes one pass:
+one low-link scan yields the blocks and the cut vertex mask, each block is
+classified on the graph's own adjacency masks restricted to its vertices
+(no subgraph is built), and the pseudotree profile is the unique cycle left
+after peeling leaves.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import operator
 from dataclasses import dataclass
 
+from .budgets import GRAPH_VERTEX_LIMIT
 from .errors import (
     DisconnectedError,
     GraphParseError,
@@ -92,8 +100,18 @@ class Graph:
             raise GraphParseError("vertex count must be an integer")
         if n < 1:
             raise GraphParseError("vertex count must be at least 1")
+        if n > GRAPH_VERTEX_LIMIT:
+            raise TooLargeError(f"graph has {n} vertices, over the cap {GRAPH_VERTEX_LIMIT}")
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphParseError(f"edge {edge!r} is not a pair of labels") from None
+            if type(u) is not int or type(v) is not int:  # bools, numpy integers, ...
+                u, v = as_integer(u), as_integer(v)
+                if u is None or v is None:
+                    raise GraphParseError(f"edge {edge!r} has a non-integer label")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -392,11 +410,12 @@ class BlockDecomposition:
 
 
 def _block_scan(g: Graph):
-    """Edge sets of the blocks plus the cut vertices (iterative low-link scan)."""
+    """Edge sets of the blocks plus the cut vertex mask (iterative low-link
+    scan).  Blocks are ordered by (minimum vertex, edge list)."""
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
     timer = 1
-    cut: set[int] = set()
+    cut = 0
     raw_blocks: list[list[tuple[int, int]]] = []
     estack: list[tuple[int, int]] = []
     for root in g.vertices():
@@ -443,34 +462,59 @@ def _block_scan(g: Graph):
                         break
                 raw_blocks.append(comp)
                 if u != root or root_children > 1:
-                    cut.add(u)
-    raw_blocks = [tuple(sorted(b)) for b in raw_blocks]
-    raw_blocks.sort(key=lambda b: (min(v for e in b for v in e), b))
-    return raw_blocks, cut
+                    cut |= 1 << (u - 1)
+    # a sorted block's first edge starts at its minimum vertex
+    return sorted(tuple(sorted(b)) for b in raw_blocks), cut
+
+
+def _block_kind(adj_masks, mask: int, m: int) -> BlockKind:
+    """Shape of the block on the vertex mask `mask` with `m` edges.
+
+    `adj_masks` may belong to a larger graph: the graph induced on a
+    block's vertices has exactly the block's edges, because adding an edge
+    keeps a block 2-connected.
+    """
+    if m == 1:
+        return BlockKind("CompleteBipartite", (1, 1))
+    n = mask.bit_count()
+    if n == 4 and m == 6:
+        return BlockKind("K4")
+    if m == 2 * n - 3:
+        # K_{1,1,q}: two vertices adjacent to all others, and no further edge
+        hubs = [v for v in mask_vertices(mask) if (adj_masks[v] | 1 << (v - 1)) & mask == mask]
+        if len(hubs) >= 2:
+            return BlockKind("K11n", (n - 2,))
+    even = mask_two_color(adj_masks, mask)
+    if even is not None:
+        p, q = sorted((even.bit_count(), n - even.bit_count()))
+        if m == p * q:
+            return BlockKind("CompleteBipartite", (p, q))
+    return BlockKind("Other")
 
 
 def blocks_and_cut_vertices(g: Graph) -> BlockDecomposition:
     """Biconnected components as edge sets, cut vertices, and block kinds.
 
-    Blocks are ordered by (minimum vertex, edge list).  Isolated vertices
-    belong to no block.
+    Blocks are ordered by (minimum vertex, edge list) and classified on
+    g's own adjacency.  Isolated vertices belong to no block.
     """
     raw_blocks, cut = _block_scan(g)
     kinds = []
     for block in raw_blocks:
-        verts = sorted({v for e in block for v in e})
-        sub = induced_subgraph(g, VertexSet.from_vertices(verts, g.n))
-        kinds.append(classify_block(sub))
+        mask = 0
+        for u, v in block:
+            mask |= 1 << (u - 1) | 1 << (v - 1)
+        kinds.append(_block_kind(g.adj_masks, mask, len(block)))
     return BlockDecomposition(
         blocks=tuple(raw_blocks),
-        cut_vertices=VertexSet.from_vertices(sorted(cut), g.n),
+        cut_vertices=VertexSet(cut, g.n),
         block_kinds=tuple(kinds),
     )
 
 
 def cut_vertex_mask(g: Graph) -> int:
     """Bitmask of the cut vertices of g."""
-    return sum(1 << (v - 1) for v in _block_scan(g)[1])
+    return _block_scan(g)[1]
 
 
 def classify_block(g: Graph) -> BlockKind:
@@ -479,26 +523,9 @@ def classify_block(g: Graph) -> BlockKind:
     Checks K4 before K_{1,1,2} so the five-edge and six-edge shapes on four
     vertices get distinct tags; K3 is tagged K11n(1).
     """
-    n, m = g.n, len(g.edges)
-    if n == 2 and m == 1:
-        return BlockKind("CompleteBipartite", (1, 1))
-    blocks, cut = _block_scan(g)
-    if n < 3 or len(blocks) != 1 or cut or not is_connected(g):
+    if len(_block_scan(g)[0]) != 1 or not is_connected(g):
         raise NotBiconnectedError(f"{g!r} is not 2-connected or a single edge")
-    if n == 4 and m == 6:
-        return BlockKind("K4")
-    full = g.full_mask
-    for a, b in g.edges:
-        rest = full & ~(1 << (a - 1)) & ~(1 << (b - 1))
-        if rest and g.adj_masks[a] & rest == rest and g.adj_masks[b] & rest == rest:
-            if all(g.adj_masks[v] & rest == 0 for v in mask_vertices(rest)):
-                return BlockKind("K11n", (n - 2,))
-    sides = bipartition(g)
-    if sides is not None:
-        p, q = sorted((len(sides[0]), len(sides[1])))
-        if m == p * q:
-            return BlockKind("CompleteBipartite", (p, q))
-    return BlockKind("Other")
+    return _block_kind(g.adj_masks, g.full_mask, g.edge_count)
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
@@ -516,33 +543,16 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     return Graph(len(members), edges)
 
 
-@dataclass(frozen=True)
-class PseudotreeProfile:
-    """Cycle data and degree partition of a connected graph with m <= n edges.
-
-    cycle_vertices holds the unique cycle (empty for trees), internal_vertices
-    the off-cycle vertices of degree at least two, leaves the rest.
-    """
-
-    cycle: tuple[int, ...] | None
-    cycle_parity: str  # "even" | "odd" | "none"
-    cycle_vertices: VertexSet
-    internal_vertices: VertexSet
-    leaves: VertexSet
-
-
-def pseudotree_profile(g: Graph) -> PseudotreeProfile | None:
-    """Profile of a connected pseudotree, or None when m > n."""
+def pseudotree_profile(g: Graph) -> VertexSet | None:
+    """The unique cycle of a connected graph with m <= n edges (empty for a
+    tree), or None when m > n."""
     if not is_connected(g):
         raise DisconnectedError("pseudotree profile requires a connected graph")
-    m = len(g.edges)
-    if m > g.n:
+    if g.edge_count > g.n:
         return None
-    if m == g.n - 1:
-        cycle_mask = 0
-        cycle: tuple[int, ...] | None = None
-        parity = "none"
-    else:
+    remaining = 0
+    if g.edge_count == g.n:
+        # peel leaves until only the cycle is left
         remaining = g.full_mask
         deg = [g.degree(v) for v in range(g.n + 1)]
         stack = [v for v in g.vertices() if deg[v] == 1]
@@ -553,54 +563,4 @@ def pseudotree_profile(g: Graph) -> PseudotreeProfile | None:
                 deg[w] -= 1
                 if deg[w] == 1:
                     stack.append(w)
-        cycle_mask = remaining
-        cycle = _walk_cycle(g, cycle_mask)
-        parity = "odd" if len(cycle) % 2 else "even"
-    internal = 0
-    leaf = 0
-    for v in g.vertices():
-        if cycle_mask >> (v - 1) & 1:
-            continue
-        if g.degree(v) >= 2:
-            internal |= 1 << (v - 1)
-        else:
-            leaf |= 1 << (v - 1)
-    return PseudotreeProfile(
-        cycle=cycle,
-        cycle_parity=parity,
-        cycle_vertices=VertexSet(cycle_mask, g.n),
-        internal_vertices=VertexSet(internal, g.n),
-        leaves=VertexSet(leaf, g.n),
-    )
-
-
-def _walk_cycle(g: Graph, cycle_mask: int) -> tuple[int, ...]:
-    start = (cycle_mask & -cycle_mask).bit_length()
-    walk = [start]
-    prev = 0
-    cur = start
-    while True:
-        nxt = min(
-            w
-            for w in mask_vertices(g.adj_masks[cur] & cycle_mask)
-            if w != prev or cycle_mask.bit_count() == 2
-        )
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(walk)
-
-
-def line_graph(g: Graph) -> Graph:
-    """Line graph; vertex i corresponds to g.edges[i-1] (lexicographic order)."""
-    m = len(g.edges)
-    if m == 0:
-        raise ValueError("line graph of an edgeless graph is empty")
-    edges = [
-        (i + 1, j + 1)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if set(g.edges[i]) & set(g.edges[j])
-    ]
-    return Graph(m, edges)
+    return VertexSet(remaining, g.n)

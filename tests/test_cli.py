@@ -84,6 +84,21 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: graph has 2000000 vertices, over the requested cap 20\n"
 
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("n 100000000000000000000000", 100000000000000000000000),
+            ('{"n": 1000000000000000000000, "edges": []}', 1000000000000000000000),
+            ("n 65537", 65537),
+        ],
+    )
+    def test_vertex_count_over_the_graph_cap(self, capsys, text, n):
+        # an OverflowError traceback (exit 1) would read as "property false"
+        code, out, err = run_cli(capsys, "dim", "--input", text)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: graph has {n} vertices, over the cap 65536\n"
+
     def test_sweep_budget(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--max-n", "30")
         assert code == 3

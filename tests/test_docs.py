@@ -59,4 +59,4 @@ def test_budget_table_quotes_the_caps_in_code():
             assert list(zip(families, caps)) == list(value.items()), cap
         else:
             assert caps == [value], (computation, cap)
-    assert len(rows) == 8
+    assert len(rows) == 9

@@ -1,6 +1,7 @@
 """Graph parsing, masks, decomposition, and family recognition."""
 
 import json
+import random
 
 import networkx as nx
 import numpy as np
@@ -24,16 +25,17 @@ from pmsp import (
     induced_subgraph,
     is_connected,
     lattice_points,
-    line_graph,
     parse_graph,
     parse_graph_json,
     path_graph,
     pseudotree_profile,
 )
+from pmsp import graph as graph_module
+from pmsp.errors import NotBiconnectedError
 from pmsp.graph import classify_block, cut_vertex_mask
 from pmsp.intlattice import affine_rank
 
-from .conftest import FIXTURES, three_block_graph
+from .conftest import FIXTURES, fixture_graphs, three_block_graph
 
 
 def random_graph_strategy(max_n: int = 8):
@@ -44,6 +46,24 @@ def random_graph_strategy(max_n: int = 8):
         return Graph(n, tuple(chosen))
 
     return st.composite(lambda draw: build(draw))()
+
+
+def seeded_graphs(count: int = 120, max_n: int = 12) -> list[Graph]:
+    """Random G(n, p) graphs from a fixed seed, disconnected ones included."""
+    rng = random.Random(20241)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+        graphs.append(Graph(n, edges))
+    return graphs
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph(g.edges)
+    nxg.add_nodes_from(g.vertices())
+    return nxg
 
 
 class TestParsing:
@@ -91,6 +111,27 @@ class TestParsing:
         g = Graph(np.int64(3), [(1, 2)])
         assert g.to_json() == {"n": 3, "edges": [[1, 2]]}
         assert type(g.n) is int
+
+    def test_numpy_edge_labels_become_int(self):
+        g = Graph(3, [(np.int64(1), np.int32(2))])
+        assert json.dumps(g.to_json()) == '{"n": 3, "edges": [[1, 2]]}'
+        assert all(type(v) is int for v in g.edges[0])
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((True, 2), "non-integer label"),
+            ((1.0, 2), "non-integer label"),
+            (("1", 2), "non-integer label"),
+            ((1, None), "non-integer label"),
+            ((1, 2, 3), "not a pair"),
+            ((1,), "not a pair"),
+            (5, "not a pair"),
+        ],
+    )
+    def test_rejects_bad_edge_labels(self, edge, message):
+        with pytest.raises(GraphParseError, match=message):
+            Graph(3, [edge])
 
 
 class TestVertexSet:
@@ -185,6 +226,49 @@ class TestBlocks:
         g = complete_bipartite_graph(1, 4)
         assert cut_vertex_mask(g) == 1  # vertex v maps to bit v - 1
 
+    def test_classify_rejects_non_blocks(self):
+        for g in (Graph(1, ()), Graph(2, ()), path_graph(3), Graph(4, ((1, 2), (2, 3), (1, 3)))):
+            with pytest.raises(NotBiconnectedError):
+                classify_block(g)
+
+    def test_blocks_and_cut_vertices_match_networkx(self, connected_7):
+        for g in connected_7 + fixture_graphs() + seeded_graphs():
+            nxg = to_networkx(g)
+            expected = sorted(
+                tuple(sorted((min(e), max(e)) for e in block))
+                for block in nx.biconnected_component_edges(nxg)
+            )
+            decomp = blocks_and_cut_vertices(g)
+            assert list(decomp.blocks) == expected, g.edges
+            cuts = sorted(nx.articulation_points(nxg))
+            assert decomp.cut_vertices.members() == tuple(cuts), g.edges
+            assert cut_vertex_mask(g) == decomp.cut_vertices.mask
+
+    def test_block_kinds_match_the_induced_blocks(self, connected_7):
+        for g in connected_7 + fixture_graphs() + seeded_graphs():
+            decomp = blocks_and_cut_vertices(g)
+            for block, kind in zip(decomp.blocks, decomp.block_kinds):
+                verts = VertexSet.from_vertices({v for e in block for v in e}, g.n)
+                assert kind == classify_block(induced_subgraph(g, verts)), block
+
+    def test_one_scan_and_no_graph_built(self, monkeypatch):
+        scans = []
+        real_scan = graph_module._block_scan
+        monkeypatch.setattr(graph_module, "_block_scan", lambda g: scans.append(g) or real_scan(g))
+        built = []
+        real_init = Graph.__init__
+
+        def counting_init(self, n, edges):
+            built.append(n)
+            real_init(self, n, edges)
+
+        g = three_block_graph()
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        decomp = blocks_and_cut_vertices(g)
+        assert len(decomp.blocks) == 3
+        assert len(scans) == 1
+        assert built == []
+
 
 class TestInducedSubgraph:
     def test_relabels_in_order(self):
@@ -197,38 +281,24 @@ class TestInducedSubgraph:
 
 class TestFamilies:
     def test_pseudotree_profile_of_tree(self):
-        prof = pseudotree_profile(path_graph(5))
-        assert prof.cycle is None
-        assert prof.cycle_parity == "none"
-        assert prof.leaves.members() == (1, 5)
-        assert prof.internal_vertices.members() == (2, 3, 4)
+        assert pseudotree_profile(path_graph(5)) == VertexSet(0, 5)
+        assert pseudotree_profile(Graph(1, ())) == VertexSet(0, 1)
 
     def test_pseudotree_profile_of_cycle(self):
-        prof = pseudotree_profile(cycle_graph(6))
-        assert prof.cycle_parity == "even"
-        assert prof.cycle_vertices.members() == (1, 2, 3, 4, 5, 6)
-        assert len(prof.leaves) == 0
+        assert pseudotree_profile(cycle_graph(6)).members() == (1, 2, 3, 4, 5, 6)
 
     def test_pseudotree_profile_cycle_order(self):
         g = Graph(5, ((1, 2), (2, 3), (3, 1), (3, 4), (4, 5)))
-        prof = pseudotree_profile(g)
-        assert prof.cycle_parity == "odd"
-        assert set(prof.cycle) == {1, 2, 3}
-        assert prof.leaves.members() == (5,)
+        assert pseudotree_profile(g).members() == (1, 2, 3)
 
     def test_too_many_edges_not_pseudotree(self):
         assert pseudotree_profile(complete_graph(4)) is None
 
-
-class TestLineGraph:
-    def test_line_graph_of_path(self):
-        lg = line_graph(path_graph(4))
-        assert lg.n == 3
-        assert lg.edges == ((1, 2), (2, 3))
-
-    def test_line_graph_of_triangle(self):
-        lg = line_graph(complete_graph(3))
-        assert lg == complete_graph(3)
+    def test_pseudotree_cycle_matches_networkx(self, pseudotrees_9):
+        for g in pseudotrees_9:
+            basis = nx.cycle_basis(to_networkx(g))
+            cycle = pseudotree_profile(g)
+            assert [sorted(c) for c in basis] == ([list(cycle)] if len(cycle) else []), g.edges
 
 
 class TestBuilders:

@@ -69,5 +69,6 @@ def test_digest_prints_one_stable_line():
     assert len(lines) == 1
     digests = json.loads(lines[0])
     assert "rows" in digests and "facets_json" in digests and "bipartite_deciders" in digests
+    assert "structure" in digests
     assert len(set(digests.values())) == len(digests)
     assert run_script("digest_outputs.py", "--max-n", "3").stdout == first.stdout
