@@ -166,7 +166,7 @@ def _run_points(g: Graph, args) -> int:
 def _run_facets(g: Graph, args) -> int:
     system = inequality_system(g)
     if args.format == "json":
-        _emit(_dump(system.to_json()))
+        _emit(system.to_json_text())
     else:
         for ineq in system:
             normal = " ".join(map(str, ineq.normal))

@@ -9,6 +9,13 @@ a chunk at a time, with numpy products: in int64 when no value can reach
 INT64_SAFE, in Python integers otherwise.  `hnf_rows` returns an echelon
 basis of the row lattice: strictly increasing pivot columns and positive
 pivots; the entries above a pivot are not reduced to a canonical range.
+
+`rank_mod_p` ranks a stack of int64 matrices at once, exactly, but over
+the field of integers modulo the prime MOD_P rather than over Q.  It serves
+as a one-sided certificate only: a minor that is nonzero mod MOD_P is a
+nonzero integer, so the rank mod MOD_P never exceeds the rank over Q, and
+one that reaches a known upper bound on the rank over Q proves that rank.
+`affine_rank` stays the one exact rank over Q.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from math import gcd, lcm
 import numpy as np
 
 INT64_SAFE = 1 << 62  # bound on |values| for which int64 products are exact
+MOD_P = (1 << 31) - 1  # a prime: products of two residues stay below 2^62
 
 
 def _point_matrix(points) -> np.ndarray:
@@ -147,6 +155,31 @@ def affine_rank(points, stop: int | None = None) -> int:
         start += size
         size *= 2
     return basis.rank
+
+
+def rank_mod_p(stack: np.ndarray) -> np.ndarray:
+    """Rank modulo MOD_P of each matrix of an int64 (count, rows, columns)
+    stack, as an int64 vector, all matrices at once.
+
+    One column is eliminated per round, without fractions: each matrix
+    takes a row with a nonzero residue in the column as its pivot row,
+    every row r becomes r * pivot - (r's entry) * pivot row, and the column
+    is dropped.  The pivot row turns to zero and the pivot, nonzero mod a
+    prime, scales rows invertibly, so the rank drops by one exactly when a
+    pivot was found.  Residues lie in [0, MOD_P), so every product is below
+    2^62.
+    """
+    a = stack % MOD_P
+    rank = np.zeros(len(a), dtype=np.int64)
+    every = np.arange(len(a))
+    for _ in range(a.shape[2]):
+        col = a[:, :, 0]
+        found = col.any(axis=1)
+        pivot_row = a[every, col.argmax(axis=1)]
+        pivot = np.where(found, pivot_row[:, 0], 1)
+        a = (a[:, :, 1:] * pivot[:, None, None] - col[:, :, None] * pivot_row[:, None, 1:]) % MOD_P
+        rank += found
+    return rank
 
 
 def hnf_rows(rows) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -31,9 +31,11 @@ coordinate (`bipartite_projection`).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .intlattice import (
     affine_rank,
     as_integer_vector,
     hnf_rows,
+    rank_mod_p,
     solve_unique_columns,
 )
 from .matchable import matchable_masks
@@ -159,6 +162,9 @@ class AffineInequality:
     source: str
 
 
+_JSON_BOOL = ("false", "true")
+
+
 @dataclass(frozen=True, eq=False)
 class RowSystem:
     """Inequalities `normals[i] . x <= rhs[i]`, one entry per row in each
@@ -198,6 +204,21 @@ class RowSystem:
                 for normal, rhs, facet, source in self._lists()
             ],
         }
+
+    def to_json_text(self) -> str:
+        """The text of `json.dumps(self.to_json(), sort_keys=True,
+        separators=(",", ":"))`, written one row at a time without the
+        dicts: the keys in sorted order, the normals cut from one dump of
+        the matrix, the sources escaped as `json.dumps` escapes them."""
+        normals = json.dumps(self.normals.tolist(), separators=(",", ":"))[2:-2].split("],[")
+        rows = ",".join(
+            f'{{"facet":{_JSON_BOOL[facet]},"normal":[{normal}],"rhs":{rhs},'
+            f'"source":{encode_basestring_ascii(source)}}}'
+            for normal, rhs, facet, source in zip(
+                normals, self.rhs.tolist(), self.facet.tolist(), self.sources
+            )
+        )
+        return f'{{"count":{len(self)},"inequalities":[{rows}]}}'
 
 
 @dataclass(frozen=True)
@@ -359,19 +380,48 @@ def _row_values(normals: np.ndarray, matrix: np.ndarray):
         yield rows, normals[rows] @ points_t
 
 
+def _sample_ranks(matrix: np.ndarray, tight: np.ndarray, k: int) -> np.ndarray:
+    """Per row of `tight` (a bool mask over the rows of `matrix` with more
+    than k True entries), the rank mod MOD_P of the differences of k of its
+    tight points, spread evenly over them in order, from the first; one
+    `rank_mod_p` stack for all rows."""
+    counts = tight.sum(axis=1)
+    _, where = np.nonzero(tight)  # the tight points of each row, row after row
+    starts = np.cumsum(counts) - counts
+    picks = where[starts[:, None] + np.arange(k) * (counts[:, None] - 1) // (k - 1)]
+    sample = matrix[picks]
+    return rank_mod_p(sample[:, 1:] - sample[:, :1])
+
+
 def facet_scan(matrix: np.ndarray, dim: int, normals: np.ndarray, rhs: np.ndarray):
     """Yield (values, facet) per row of `normals` and `rhs`: `normal . p`
     for every row p of `matrix`, and whether the row's tight points have
     affine rank dim - 1, dim being the rank of all the points.  Tight on
     some but not all points, a row cuts their affine hull in a hyperplane,
-    so the rank cannot pass dim - 1 and elimination stops there.  Validity
-    is left to the caller.
+    so the rank cannot pass dim - 1.  Validity is left to the caller.
+
+    The rows of a block tight on more than k = 2 dim + 1 points are first
+    certified together (`_sample_ranks`): the rank mod MOD_P of k of their
+    tight points is at most the rank over Q of those points, which is at
+    most that of all the tight points, which is at most dim - 1, so a
+    sample reaching dim - 1 proves a facet.  Every other row, and every
+    row of a matrix whose differences may not fit int64, takes the exact
+    `affine_rank`, whose elimination stops at dim - 1.  The flags are
+    exactly those of `affine_rank` alone.
     """
+    k = 2 * dim + 1
+    sampled = matrix.dtype != object and _top(matrix) < INT64_SAFE
     for rows, block in _row_values(normals, matrix):
         tight = block == rhs[rows, None]
-        for values, row_tight, count in zip(block, tight, tight.sum(axis=1).tolist()):
-            facet = 0 < count < len(matrix) and affine_rank(matrix[row_tight], dim - 1) == dim - 1
-            yield values, facet
+        counts = tight.sum(axis=1)
+        proper = (0 < counts) & (counts < len(matrix))
+        certified = proper & (counts > k) & sampled
+        if certified.any():
+            certified[certified] = _sample_ranks(matrix, tight[certified], k) >= dim - 1
+        for values, row_tight, maybe, sure in zip(
+            block, tight, proper.tolist(), certified.tolist()
+        ):
+            yield values, sure or maybe and affine_rank(matrix[row_tight], dim - 1) == dim - 1
 
 
 def _member_labels(masks: np.ndarray, n: int) -> list[str]:

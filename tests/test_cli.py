@@ -2,6 +2,7 @@
 
 import json
 import os
+from argparse import Namespace
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pmsp.cli import main
+from pmsp.budgets import ENUMERATION_LIMIT
+from pmsp.cli import main, read_graph
 from pmsp.graph import Graph
+from pmsp.polytope import inequality_system
 
 from .conftest import FIXTURES
 
@@ -60,6 +63,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert 'integer "n"' in err
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ("[1, 2.0]", "non-integer label"),
+            ("[1, true]", "non-integer label"),
+            ("[1, 2, 3]", "not a pair"),
+            ('"12"', "non-integer label"),
+            ("null", "not a pair"),
+        ],
+    )
+    def test_malformed_json_edge(self, capsys, edge, message):
+        text = '{"n": 3, "edges": [[1, 3], %s]}' % edge
+        code, out, err = run_cli(capsys, "dim", "--input", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: edge ") and message in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "dim", "--input", "no/such/file.edges")
@@ -201,6 +220,25 @@ class TestDeterminism:
                 first = run_cli(capsys, *argv)
                 second = run_cli(capsys, *argv)
                 assert first == second, argv
+
+    def test_facets_output_reads_the_rows(self, capsys):
+        """Both formats of `facets` print the rows of `to_json()`: the JSON
+        its sorted-key dump, the text one line per row."""
+        for fixture in self.FIXTURE_FILES:
+            path = str(FIXTURES / fixture)
+            g = read_graph(Namespace(input=path, max_n=None))
+            if g.n > ENUMERATION_LIMIT:
+                continue
+            system = inequality_system(g)
+            _, out, _ = run_cli(capsys, "facets", "--input", path)
+            assert out == json.dumps(system.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+            _, out, _ = run_cli(capsys, "facets", "--input", path, "--format", "text")
+            lines = [
+                f"{row['source']}: [{' '.join(map(str, row['normal']))}] <= {row['rhs']} "
+                f"({'facet' if row['facet'] else 'valid'})"
+                for row in system.to_json()["inequalities"]
+            ]
+            assert out.splitlines() == lines, fixture
 
     def test_sweep_deterministic(self, capsys):
         a = run_cli(capsys, "sweep", "--max-n", "5", "--family", "pseudotree")

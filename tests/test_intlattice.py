@@ -10,10 +10,12 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from pmsp import intlattice
 from pmsp.intlattice import (
+    MOD_P,
     IntRowBasis,
     affine_rank,
     as_integer_vector,
     hnf_rows,
+    rank_mod_p,
     solve_unique_columns,
     solve_unique_rational,
 )
@@ -87,6 +89,29 @@ class TestAffineRank:
     @settings(max_examples=60, deadline=None)
     def test_stop_is_min_of_rank(self, rows, stop):
         assert affine_rank(rows, stop) == min(affine_rank(rows), stop)
+
+
+class TestRankModP:
+    @settings(max_examples=100)
+    @given(st.lists(small_mat, min_size=1, max_size=4))
+    def test_matches_sympy_rank_on_small_entries(self, mats):
+        """Minors of these matrices are far below MOD_P, so the ranks agree;
+        matrices of one shape are ranked together in one stack."""
+        for shape in {(len(m), len(m[0])) for m in mats}:
+            same = [m for m in mats if (len(m), len(m[0])) == shape]
+            expected = [sympy.Matrix(m).rank() for m in same]
+            assert rank_mod_p(np.array(same, dtype=np.int64)).tolist() == expected
+
+    def test_rank_below_the_rank_over_q(self):
+        """(MOD_P, 1) and (0, 1) span Q^2 but agree mod MOD_P."""
+        rows = [(MOD_P, 1), (0, 1)]
+        assert rank_mod_p(np.array([rows, [(0, 0), (0, 0)]])).tolist() == [1, 0]
+        assert affine_rank([(0, 0), *rows]) == 2
+
+    def test_negative_and_large_residues(self):
+        big = MOD_P - 1
+        stack = np.array([[(big, big), (big, 1)], [(-1, -1), (-1, 1)], [(-2, 4), (1, -2)]])
+        assert rank_mod_p(stack).tolist() == [2, 2, 1]
 
 
 class TestHnf:

@@ -1,6 +1,7 @@
 """Lattice points, inequality systems, normalization, and dilate checks."""
 
 import dataclasses
+import json
 import random
 from itertools import combinations, product
 from math import gcd
@@ -32,9 +33,10 @@ from pmsp import (
     path_graph,
     verify_facet_flags,
 )
+from pmsp import polytope
 from pmsp.polytope import RowSystem
 from pmsp.graph import bipartition, is_connected
-from pmsp.intlattice import _point_matrix, affine_rank, hnf_rows
+from pmsp.intlattice import MOD_P, _point_matrix, affine_rank, hnf_rows
 from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
@@ -179,6 +181,29 @@ def _scan_cases(g):
     yield norm.points, norm.dim, rows, _point_matrix(norm.points)
 
 
+def _seeded_nonbipartite(rng: random.Random, n: int, m: int) -> Graph:
+    """A uniform connected nonbipartite graph with n vertices and m edges."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    while True:
+        g = Graph(n, rng.sample(pairs, m))
+        if is_connected(g) and bipartition(g) is None:
+            return g
+
+
+def _counted_scan(monkeypatch, matrix, dim, normals, rhs) -> tuple[list[bool], int]:
+    """The flags of `facet_scan` and the number of `affine_rank` calls it made."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return affine_rank(*args)
+
+    monkeypatch.setattr(polytope, "affine_rank", counting)
+    flags = [facet for _, facet in facet_scan(matrix, dim, normals, rhs)]
+    monkeypatch.setattr(polytope, "affine_rank", affine_rank)
+    return flags, len(calls)
+
+
 def _values(normals, matrix) -> list:
     """The per-normal value arrays of `_row_values`, blocks flattened."""
     return [v for _, block in _row_values(_point_matrix(normals), matrix) for v in block]
@@ -251,6 +276,75 @@ class TestFacetScan:
         assert matrix.dtype == object
         (values,) = _values([(3, -1)], matrix)
         assert values.tolist() == [3 * huge, -1]
+
+    def test_certificate_keeps_the_exact_flags(self, monkeypatch):
+        """Rows tight on more than 2 dim + 1 points are certified by a rank
+        mod MOD_P: every flag still equals the full affine rank of the
+        row's tight points compared with dim - 1, and `affine_rank` runs on
+        fewer rows than the scan flags."""
+        rng = random.Random(0)
+        seeded = [_seeded_nonbipartite(rng, 12, 20) for _ in range(3)]
+        total_rows = total_calls = 0
+        for g in fixture_graphs() + seeded:
+            pts, system = lattice_points(g), inequality_system(g)
+            dim = pts.lattice.rank
+            flags, calls = _counted_scan(monkeypatch, pts.matrix, dim, system.normals, system.rhs)
+            for row, facet in zip(system, flags):
+                active = pts.matrix[pts.matrix @ np.array(row.normal) == row.rhs]
+                expected = 0 < len(active) < len(pts) and affine_rank(active) == dim - 1
+                assert facet == expected, (g.edges, row.source)
+            assert len(flags) == len(system)
+            if g in seeded:
+                assert calls < len(flags), g.edges
+            total_rows += len(flags)
+            total_calls += calls
+        assert total_calls < total_rows
+
+    def test_rank_mod_p_below_rank_over_q_falls_back(self, monkeypatch):
+        """Every sample of the tight plane z = 0 has rank 1 mod MOD_P, since
+        (MOD_P, y, 0) = (0, y, 0) there, while its rank over Q is 2 = dim - 1:
+        the certificate fails and `affine_rank` sets the flag."""
+        plane = [(x, y, 0) for x in (0, MOD_P) for y in range(5)]
+        assert affine_rank(plane) == 2
+        matrix = _point_matrix([*plane, (0, 0, 1)])
+        normals, rhs = np.array([[0, 0, 1]]), np.array([0])
+        assert _counted_scan(monkeypatch, matrix, 3, normals, rhs) == ([True], 1)
+
+    def test_object_matrix_skips_the_certificate(self, monkeypatch):
+        pts, system = lattice_points(complete_graph(6)), inequality_system(complete_graph(6))
+        flags, calls = _counted_scan(monkeypatch, pts.matrix, 6, system.normals, system.rhs)
+        as_object = pts.matrix.astype(object)
+        object_flags, object_calls = _counted_scan(
+            monkeypatch, as_object, 6, system.normals, system.rhs
+        )
+        assert object_flags == flags == system.facet.tolist()
+        assert calls < object_calls
+
+
+class TestJsonText:
+    """`RowSystem.to_json_text` writes the bytes of the sorted-key dump of
+    `to_json()`."""
+
+    @staticmethod
+    def _dump(system: RowSystem) -> str:
+        return json.dumps(system.to_json(), sort_keys=True, separators=(",", ":"))
+
+    def test_matches_the_dump_of_every_system(self, connected_7, bipartite_8):
+        checked = 0
+        for g in fixture_graphs() + connected_7 + bipartite_8:
+            system = inequality_system(g)
+            assert system.to_json_text() == self._dump(system), g.edges
+            checked += 1
+        assert checked > 1000
+
+    def test_empty_wide_and_escaped_rows(self):
+        assert _no_rows(3).to_json_text() == '{"count":0,"inequalities":[]}'
+        odd = _system([
+            ((1 << 70, -1), -(1 << 65), True, 'quote " back \\ tab \t é'),
+            ((0, 0), 0, False, "OddSet(1,2,3)|NonNeg(4)"),
+        ])
+        assert odd.normals.dtype == object
+        assert odd.to_json_text() == self._dump(odd)
 
 
 class TestNormalization:
@@ -709,8 +803,6 @@ class TestUnflaggedRows:
     def test_dilate_checks_compute_no_facet_flags(self, monkeypatch):
         """idp_check reads only normals and right-hand sides: neither the
         bound-row ranks nor the odd-set criterion may run."""
-        import pmsp.polytope as polytope
-
         def refuse(*args):
             raise AssertionError("a facet flag was computed")
 
