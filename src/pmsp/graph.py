@@ -105,6 +105,8 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         for edge in edges:
             try:
+                if isinstance(edge, (str, bytes)):  # "12" would unpack into two characters
+                    raise TypeError
                 u, v = edge
             except (TypeError, ValueError):
                 raise GraphParseError(f"edge {edge!r} is not a pair of labels") from None

@@ -520,15 +520,12 @@ def _connected_after_internal_deletion(neighbors, s, gam) -> np.ndarray:
     return comp == allowed
 
 
-def _nonbipartite_system(g: Graph) -> RowSystem:
-    """The rows of `_nonbipartite_rows` with facet flags: the bound rows
-    flagged by their ranks (`facet_scan`), an odd-set row by the criterion.
-    Every component of S is critical, every component outside S and N is
-    nonbipartite, and S + N stays connected without the edges inside N."""
-    normals, rhs, masks, gams = _nonbipartite_rows(g)
-    bounds = 2 * g.n
-    matrix = lattice_points(g).matrix
-    flags = [facet for _, facet in facet_scan(matrix, g.n, normals[:bounds], rhs[:bounds])]
+def _odd_set_facets(g: Graph, masks: np.ndarray, gams: np.ndarray) -> np.ndarray:
+    """The facet criterion of the odd-set rows of `_nonbipartite_rows`, one
+    flag per pair (S, N) of `masks` and `gams`: every component of S is
+    critical, every component outside S and N is nonbipartite, and S + N
+    stays connected without the edges inside N.  Read off the subset
+    tables; no rank is computed."""
     tables = subset_tables(g)
     facts, _ = tables.component_facts
     outside = facts[g.full_mask & ~(masks | gams)]
@@ -537,6 +534,18 @@ def _nonbipartite_system(g: Graph) -> RowSystem:
     criterion[maybe] = _connected_after_internal_deletion(
         tables.neighbors, masks[maybe], gams[maybe]
     )
+    return criterion
+
+
+def _nonbipartite_system(g: Graph) -> RowSystem:
+    """The rows of `_nonbipartite_rows` with facet flags: the bound rows
+    flagged by their ranks (`facet_scan`), an odd-set row by the criterion
+    of `_odd_set_facets`."""
+    normals, rhs, masks, gams = _nonbipartite_rows(g)
+    bounds = 2 * g.n
+    matrix = lattice_points(g).matrix
+    flags = [facet for _, facet in facet_scan(matrix, g.n, normals[:bounds], rhs[:bounds])]
+    criterion = _odd_set_facets(g, masks, gams)
     sources = _bounds(g.n)[2] + [f"OddSet({m})" for m in _member_labels(masks, g.n)]
     return RowSystem(
         normals, rhs, np.concatenate([np.array(flags, dtype=bool), criterion]), tuple(sources)
@@ -698,7 +707,8 @@ def gorenstein_geometric(g: Graph) -> GorensteinCertificate | None:
     return None
 
 
-_DILATE_BLOCK = 1 << 16  # row values (parents x digits x rows) extended at a time
+_DILATE_BLOCK = 1 << 16  # row values (parents x digits x rows), or sums, made at a time
+_DILATE_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
@@ -710,20 +720,27 @@ def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
     every later coordinate at its least share, k * min(0, a_i); fixing x_j
     moves neither the value nor the limit of a row with a_j = 0, so only
     the other rows are tested.  Children follow their parent in ascending
-    digit order, so each level is in lex order.  Row values are int64 when
-    no bound and no k * |normal|_1 reaches INT64_SAFE, Python ints otherwise.
+    digit order, so each level is in lex order.
+
+    With B the larger of max |bound| and max k * |normal|_1, every prefix
+    value, move and limit lies within +-2B, so the row values are held in
+    the smallest of int8, int16, int32 and int64 whose range holds 2B, and
+    in Python ints once B reaches INT64_SAFE.
     """
     normals, bound = _point_matrix(normals), _point_matrix(bound)
-    dtype = np.int64 if max(k * _reach(normals), _top(bound)) < INT64_SAFE else object
+    reach = max(k * _reach(normals), _top(bound))
+    dtype = object
+    if reach < INT64_SAFE:
+        dtype = next(t for t in _DILATE_TYPES if 2 * reach <= np.iinfo(t).max)
     cols = normals.astype(dtype).reshape(-1, n).T
     m = cols.shape[1]
     # limits[j]: the most each row may take on a prefix of length j
     tails = np.zeros((n + 1, m), dtype=dtype)
-    tails[:n] = np.cumsum((k * np.minimum(cols, 0))[::-1], axis=0)[::-1]
+    tails[:n] = np.cumsum((k * np.minimum(cols, 0))[::-1], axis=0, dtype=dtype)[::-1]
     limits = bound.astype(dtype) - tails
     codes = np.zeros(int((limits[0] >= 0).all()), dtype=np.int64)
     values = np.zeros((len(codes), m), dtype=dtype)
-    digits = np.arange(k + 1)
+    digits = np.arange(k + 1).astype(dtype)
     step = max(1, _DILATE_BLOCK // ((k + 1) * max(1, m)))
     for j in range(n):
         last = j == n - 1
@@ -736,7 +753,7 @@ def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
             parent, digit = np.nonzero(keep)
             next_codes.append(codes[start + parent] * (k + 1) + digit)
             if not last:
-                next_values.append(block[parent] + digit[:, None] * cols[j])
+                next_values.append(block[parent] + digits[digit, None] * cols[j])
         codes = np.concatenate(next_codes)
         if not last:
             values = np.concatenate(next_values)
@@ -751,6 +768,23 @@ def _lattice_codes(
     return codes[inside]
 
 
+def _dilate_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, rhs): the rows that cut out the polytope of a connected
+    graph, and so its dilates.  A bipartite graph keeps
+    the rows of its system flagged as facets and the balance pair, its
+    last two rows, which give the affine hull.  A nonbipartite graph keeps
+    every bound row (their flags need ranks) and the odd-set rows the
+    criterion flags (`_odd_set_facets`).  Every other row is implied."""
+    if bipartition(g) is not None:
+        system = inequality_system(g)
+        keep = system.facet.copy()
+        keep[-2:] = True
+        return system.normals[keep], system.rhs[keep]
+    normals, rhs, masks, gams = _nonbipartite_rows(g)
+    keep = np.concatenate([np.ones(2 * g.n, dtype=bool), _odd_set_facets(g, masks, gams)])
+    return normals[keep], rhs[keep]
+
+
 def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
     """Check that every lattice point of the k-th dilate splits into k points,
     once per mode in `modes`, in that order.
@@ -761,11 +795,16 @@ def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
     point.
 
     The dilate's points are enumerated once for all modes by
-    `_dilate_codes`, so the cost follows the prefixes that survive its
-    pruning, not (k+1)^n.  A point's code is sum x_i (k+1)^(n-1-i); the
-    digits of a sum of k 0/1 points stay at most k, so codes add without
-    carries and a point decomposes exactly when its code is a sum of k
-    point codes.
+    `_dilate_codes` over the facet rows of `_dilate_rows`, so the cost
+    follows the prefixes that survive its pruning, not (k+1)^n.  A point's
+    code is sum x_i (k+1)^(n-1-i); the digits of a sum of k 0/1 points
+    stay at most k, so codes add without carries, every sum lies below
+    (k+1)^n, and a point decomposes exactly when its code is marked in a
+    dense table of the sums of k point codes.  The empty set is a point,
+    with code 0, so a sum of fewer points is a sum of k and each round
+    adds the points to every sum marked so far.  It is also the origin of
+    the point lattice, so a sum of k points lies in the lattice: normality
+    mode reduces only the points that do not split.
     """
     for mode in modes:
         if mode not in ("idp", "normality"):
@@ -779,27 +818,29 @@ def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
             f"dilate enumeration capped at {DILATE_VERTEX_LIMIT} vertices, got {g.n}"
         )
     pts = lattice_points(g)
-    if bipartition(g) is not None:
-        system = inequality_system(g)
-        normals, rhs = system.normals, system.rhs
-    else:
-        normals, rhs, _, _ = _nonbipartite_rows(g)
+    normals, rhs = _dilate_rows(g)
     codes = _dilate_codes(normals, k * rhs, g.n, k)
     weights = (k + 1) ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
     singles = pts.matrix @ weights
-    sums = singles
+    hit = np.zeros((k + 1) ** g.n, dtype=bool)
+    hit[singles] = True
+    step = max(1, _DILATE_BLOCK // len(singles))
     for _ in range(k - 1):
-        sums = np.unique(sums[:, None] + singles)
+        sums = np.flatnonzero(hit)
+        for start in range(0, len(sums), step):
+            hit[sums[start : start + step, None] + singles] = True
+    unsplit = codes[~hit[codes]]
     checks = []
     for mode in modes:
-        kept = _lattice_codes(codes, weights, k, pts.lattice) if mode == "normality" else codes
-        at = np.minimum(np.searchsorted(sums, kept), len(sums) - 1)
-        missing = np.flatnonzero(sums[at] != kept)
+        missing, count = unsplit, len(codes)
+        if mode == "normality":
+            missing = _lattice_codes(unsplit, weights, k, pts.lattice)
+            count = len(codes) - len(unsplit) + len(missing)
         witness = None
         if len(missing):
-            code = int(kept[missing[0]])
+            code = int(missing[0])
             witness = tuple(code // w % (k + 1) for w in weights.tolist())
-        checks.append(DilateCheck(k, mode, witness is None, witness, len(kept)))
+        checks.append(DilateCheck(k, mode, witness is None, witness, count))
     return tuple(checks)
 
 

@@ -70,7 +70,8 @@ class TestExitCodes:
             ("[1, 2.0]", "non-integer label"),
             ("[1, true]", "non-integer label"),
             ("[1, 2, 3]", "not a pair"),
-            ('"12"', "non-integer label"),
+            ('"12"', "not a pair"),
+            ('"1"', "not a pair"),
             ("null", "not a pair"),
         ],
     )

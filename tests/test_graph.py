@@ -127,6 +127,8 @@ class TestParsing:
             ((1, 2, 3), "not a pair"),
             ((1,), "not a pair"),
             (5, "not a pair"),
+            ("12", "not a pair"),
+            (b"12", "not a pair"),
         ],
     )
     def test_rejects_bad_edge_labels(self, edge, message):

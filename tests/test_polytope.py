@@ -788,6 +788,24 @@ class TestDilateCodes:
         codes = _dilate_codes([(1, -(INT64_SAFE // 2))], [1], 2, 2)
         assert codes.tolist() == _box_codes([(1, -(INT64_SAFE // 2))], [1], 2, 2)
 
+    @pytest.mark.parametrize("t", (7, 15, 31))
+    def test_row_values_at_the_integer_type_edges(self, t):
+        """The largest row value v = k |a|_1 just below and just above 2^t
+        and 2^(t-1).  The all-negative row holds everything, but its limit
+        on the empty prefix is 2v, which a type one size too small wraps."""
+        for v in (2 ** (t - 1) - 2, 2 ** (t - 1) + 2, 2**t - 2, 2**t + 2):
+            a = v // 2 - 1  # 2 |(a, -1)|_1 = v
+            normals, bound = [(a, -1), (-a, -1)], [a, v]
+            codes = _dilate_codes(normals, bound, 2, 2)
+            assert codes.tolist() == _box_codes(normals, bound, 2, 2) == list(range(6))
+
+    def test_negative_limits_in_int8(self):
+        # -x_1 <= -1 leaves the last prefixes the limit -1
+        for normals, bound in (([(-1, 0)], [-1]), ([(0, -1), (1, -1)], [-2, -1])):
+            codes = _dilate_codes(normals, bound, 2, 2)
+            assert codes.tolist() == _box_codes(normals, bound, 2, 2)
+            assert codes.size
+
     def test_oversized_basis_uses_python_ints(self):
         # (3, 2) - 3 * (1, e) is (0, -2^64), which int64 would wrap to (0, 0)
         e = (2**64 + 2) // 3
@@ -801,17 +819,40 @@ class TestDilateCodes:
 
 class TestUnflaggedRows:
     def test_dilate_checks_compute_no_facet_flags(self, monkeypatch):
-        """idp_check reads only normals and right-hand sides: neither the
-        bound-row ranks nor the odd-set criterion may run."""
+        """idp_check computes no rank: it reads the criterion flags alone.
+        The rows it enumerates over are every bound row and the flagged
+        odd-set rows of a nonbipartite graph, and the flagged rows and the
+        balance pair of a bipartite one."""
         def refuse(*args):
-            raise AssertionError("a facet flag was computed")
+            raise AssertionError("a rank was computed")
 
-        monkeypatch.setattr(polytope, "facet_scan", refuse)
-        monkeypatch.setattr(polytope, "_connected_after_internal_deletion", refuse)
+        enumerated = []
+
+        def recording(normals, bound, n, k):
+            enumerated.append((normals.tolist(), bound.tolist()))
+            return _dilate_codes(normals, bound, n, k)
+
+        for name in ("facet_scan", "affine_rank", "rank_mod_p"):
+            monkeypatch.setattr(polytope, name, refuse)
+        monkeypatch.setattr(polytope, "_dilate_codes", recording)
         triangle_with_tail = Graph(6, ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6)))
-        for g in (complete_graph(5), cycle_graph(5), triangle_with_tail):
-            for k in (2, 3):
-                assert idp_check(g, k, "normality").ok
+        graphs = (complete_graph(5), cycle_graph(5), triangle_with_tail, cycle_graph(6),
+                  complete_bipartite_graph(2, 3), path_graph(4))
+        cases = [(g, k) for g in graphs for k in (2, 3)]
+        for g, k in cases:
+            assert idp_check(g, k, "normality").ok
+        monkeypatch.undo()
+        assert len(enumerated) == len(cases)
+        dropped = 0
+        for (g, k), rows in zip(cases, enumerated):
+            system = list(inequality_system(g))
+            if bipartition(g) is None:
+                kept = system[: 2 * g.n] + [i for i in system[2 * g.n :] if i.facet]
+            else:
+                kept = [i for i in system if i.facet or i.source.startswith("Balance")]
+            dropped += len(system) - len(kept)
+            assert rows == ([list(i.normal) for i in kept], [k * i.rhs for i in kept])
+        assert dropped > 0
 
     def test_rows_match_the_flagged_system(self, connected_7):
         from pmsp.polytope import _nonbipartite_rows
