@@ -3,8 +3,10 @@
 Verbs either compute data (points, facets, dim, matchable, classify, sweep)
 or decide a property (check-compressed, check-gorenstein, check-normal).
 Exit codes: 0 = true / success, 1 = property false or sweep disagreement,
-2 = usage or input error, 3 = budget exceeded.  All output is deterministic;
-JSON objects are emitted with sorted keys.
+2 = usage or input error (an unreadable input file included), 3 = budget
+exceeded, 141 = standard output closed before the output was written (the
+shell's code for a SIGPIPE death).  All output is deterministic; JSON
+objects are emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +35,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -110,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_graph(args) -> Graph:
     raw = args.input
+    if not raw:
+        raise PmspError("--input is empty: give a file path, '-' or edge text")
     if raw == "-":
         text = sys.stdin.read()
     else:
@@ -119,7 +125,10 @@ def read_graph(args) -> Graph:
         except OSError:  # not a possible path, e.g. a name over 255 bytes
             is_file = False
         if is_file:
-            text = path.read_text()
+            try:
+                text = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise GraphParseError(f"cannot read input file {raw}: {exc}") from None
         elif "/" in raw or raw.endswith((".edges", ".json", ".txt")):
             raise GraphParseError(f"input file not found: {raw}")
         else:
@@ -336,7 +345,14 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, so that the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -88,11 +88,12 @@ class Graph:
     """Immutable simple graph on vertices 1..n.
 
     `_tables` holds the graph's subset tables once `subsets.subset_tables`
-    has built them; they are derived data and take no part in equality,
+    has built them, and `_cuts` its cut vertex mask once `cut_vertex_mask`
+    has found it; they are derived data and take no part in equality,
     hashing or JSON.
     """
 
-    __slots__ = ("n", "edges", "adj_masks", "_hash", "_tables")
+    __slots__ = ("n", "edges", "adj_masks", "_hash", "_tables", "_cuts")
 
     def __init__(self, n: int, edges) -> None:
         n = as_integer(n)
@@ -128,6 +129,7 @@ class Graph:
         self.adj_masks = tuple(masks)
         self._hash = hash((self.n, self.edges))
         self._tables = None
+        self._cuts = None
 
     @property
     def full_mask(self) -> int:
@@ -490,9 +492,11 @@ def blocks_and_cut_vertices(g: Graph) -> BlockDecomposition:
     """Biconnected components as edge sets, cut vertices, and block kinds.
 
     Blocks are ordered by (minimum vertex, edge list) and classified on
-    g's own adjacency.  Isolated vertices belong to no block.
+    g's own adjacency.  Isolated vertices belong to no block.  The cut
+    vertex mask is kept with g, as `cut_vertex_mask` keeps it.
     """
     raw_blocks, cut = _block_scan(g)
+    g._cuts = cut
     kinds = []
     for block in raw_blocks:
         mask = 0
@@ -507,8 +511,11 @@ def blocks_and_cut_vertices(g: Graph) -> BlockDecomposition:
 
 
 def cut_vertex_mask(g: Graph) -> int:
-    """Bitmask of the cut vertices of g."""
-    return _block_scan(g)[1]
+    """Bitmask of the cut vertices of g, found by one block scan per graph
+    and kept with it."""
+    if g._cuts is None:
+        g._cuts = _block_scan(g)[1]
+    return g._cuts
 
 
 def classify_block(g: Graph) -> BlockKind:

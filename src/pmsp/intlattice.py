@@ -1,33 +1,31 @@
 """Exact integer linear algebra: ranks, lattice bases, small linear solves.
 
-Everything here is exact; no floating point.  Elimination runs on
-arbitrary-precision Python integers, and solutions come out as Fractions.
-`affine_rank` reads the points as the rows of an integer array
-(`_point_matrix`: int64, or Python integers in an object array when a value
-does not fit) and screens large point sets against an integer kernel basis,
-a chunk at a time, with numpy products: in int64 when no value can reach
-INT64_SAFE, in Python integers otherwise.  `hnf_rows` returns an echelon
-basis of the row lattice: strictly increasing pivot columns and positive
-pivots; the entries above a pivot are not reduced to a canonical range.
-
-`rank_mod_p` ranks a stack of int64 matrices at once, exactly, but over
-the field of integers modulo the prime MOD_P rather than over Q.  It serves
-as a one-sided certificate only: a minor that is nonzero mod MOD_P is a
-nonzero integer, so the rank mod MOD_P never exceeds the rank over Q, and
-one that reaches a known upper bound on the rank over Q proves that rank.
-`affine_rank` stays the one exact rank over Q.
+Everything here is exact; no floating point.  `affine_rank` ranks a stack
+of point sets at once, by numpy elimination modulo one or two primes
+(`rank_mod_p`), and screens the points of a large set against a kernel of
+its first ones mod the same prime (`_rank_screened`).  A rank mod a prime
+can only fall below the rank over Q, and only when a minor is a multiple
+of the prime; Hadamard's bound on the minors of the stack says when
+neither prime can divide one, so the rank is exact, and a stack past that
+bound raises instead of falling back.
+`hnf_rows` returns an echelon basis of the row lattice: strictly increasing
+pivot columns and positive pivots; the entries above a pivot are not
+reduced to a canonical range.  The linear solves run on arbitrary-precision
+Python integers, and their solutions come out as Fractions.  Point lists
+become integer arrays through `_point_matrix`: int64, or Python integers in
+an object array when a value does not fit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 INT64_SAFE = 1 << 62  # bound on |values| for which int64 products are exact
 MOD_P = (1 << 31) - 1  # a prime: products of two residues stay below 2^62
+MOD_Q = 2147483629  # the next prime below MOD_P
 
 
 def _point_matrix(points) -> np.ndarray:
@@ -38,148 +36,106 @@ def _point_matrix(points) -> np.ndarray:
         return np.array(points, dtype=object)
 
 
-class IntRowBasis:
-    """Incremental rank over Q via exact integer elimination.
-
-    Stored rows are indexed by their leading column; adding a vector reduces
-    it against the stored rows and reports whether the rank grew.
-    """
-
-    def __init__(self) -> None:
-        self.rows: dict[int, list[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, vector) -> bool:
-        v = list(vector)
-        while True:
-            lead = next(compress(range(len(v)), v), None)
-            if lead is None:
-                return False
-            row = self.rows.get(lead)
-            if row is None:
-                g = gcd(*v)
-                if v[lead] < 0:
-                    g = -g
-                self.rows[lead] = [x // g for x in v]
-                return True
-            a, b = row[lead], v[lead]
-            g = gcd(a, b)
-            ca, cb = a // g, b // g
-            v = [ca * y - cb * x for x, y in zip(row, v)]
-
-    def kernel(self, n: int) -> list[list[int]]:
-        """Integer basis of the vectors of length n orthogonal to every
-        stored row: the stored rows are brought to reduced echelon form
-        without fractions, then each free column gives one kernel vector."""
-        leads = sorted(self.rows)
-        rows = {c: self.rows[c] for c in leads}
-        for i in range(len(leads) - 1, 0, -1):
-            c = leads[i]
-            low = rows[c]
-            for above in leads[:i]:
-                row = rows[above]
-                if row[c]:
-                    g = gcd(low[c], row[c])
-                    ca, cb = low[c] // g, row[c] // g
-                    row = [ca * x - cb * y for x, y in zip(row, low)]
-                    g = gcd(*row)
-                    rows[above] = [x // g for x in row]
-        scale = lcm(*(rows[c][c] for c in leads))
-        kernel = []
-        for free in range(n):
-            if free in rows:
-                continue
-            v = [0] * n
-            v[free] = scale
-            for c in leads:
-                v[c] = -rows[c][free] * (scale // rows[c][c])
-            g = gcd(*v)
-            kernel.append([x // g for x in v])
-        return kernel
+def _top(values: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, exactly; 0 if empty."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
 
 
-def _outside_span(kernel: list[list[int]], points: np.ndarray, base) -> list[int]:
-    """Indices of the rows p of `points` with a nonzero product of p - base
-    against some kernel row, i.e. outside the affine span the kernel
-    annihilates.  One numpy product, in int64 when no partial sum can reach
-    INT64_SAFE and in Python integers (object arrays) otherwise."""
-    width = len(base) * max(abs(x) for row in kernel for x in row)
-    top = max(int(points.max()), -int(points.min()), *map(abs, base))
-    dtype = np.int64 if 2 * top * width < INT64_SAFE else object
-    diffs = points.astype(dtype) - np.array(base, dtype=dtype)
-    products = diffs @ np.array(kernel, dtype=dtype).T
-    return np.flatnonzero(products.any(axis=1)).tolist()
-
-
-def affine_rank(points, stop: int | None = None) -> int:
-    """Affine dimension of the rows of an integer array (any other point
-    list goes through `_point_matrix`): -1 for none, 0 for a single point.
-
-    With `stop`, elimination ends as soon as the rank reaches it, so the
-    result is min(rank, stop) for any stop >= 0; stop defaults to the
-    ambient dimension.  The first 2 * (stop + 1) points after the first are
-    eliminated one by one.  Later points come in chunks, each twice the
-    last, and are first screened against an integer kernel basis of the
-    rows found so far: the row space is exactly the annihilator of that
-    kernel over Q, so only differences with a nonzero kernel product can
-    raise the rank, and only they are eliminated.
-    """
-    if not isinstance(points, np.ndarray):
-        points = _point_matrix(points)
-    if not len(points):
-        return -1
-    base = points[0].tolist()
-    n = len(base)
-    stop = n if stop is None else min(stop, n)
-    if stop == 0:
-        return 0
-    basis = IntRowBasis()
-    size = 2 * (stop + 1)
-    for p in points[1 : size + 1].tolist():
-        if basis.add([x - y for x, y in zip(p, base)]) and basis.rank == stop:
-            return stop
-    kernel = None
-    start = size + 1
-    while start < len(points):
-        chunk = points[start : start + size]
-        if kernel is None:
-            kernel = basis.kernel(n)
-        for i in _outside_span(kernel, chunk, base):
-            if basis.add([x - y for x, y in zip(chunk[i].tolist(), base)]):
-                if basis.rank == stop:
-                    return stop
-                kernel = None
-        start += size
-        size *= 2
-    return basis.rank
-
-
-def rank_mod_p(stack: np.ndarray) -> np.ndarray:
-    """Rank modulo MOD_P of each matrix of an int64 (count, rows, columns)
-    stack, as an int64 vector, all matrices at once.
+def _eliminate(a: np.ndarray, prime: int, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the first `columns` columns of each matrix of an int64
+    stack of residues mod `prime` (at most MOD_P), all matrices at once:
+    (the rank of those columns per matrix, the stack of what is left of
+    the other columns).
 
     One column is eliminated per round, without fractions: each matrix
     takes a row with a nonzero residue in the column as its pivot row,
     every row r becomes r * pivot - (r's entry) * pivot row, and the column
     is dropped.  The pivot row turns to zero and the pivot, nonzero mod a
     prime, scales rows invertibly, so the rank drops by one exactly when a
-    pivot was found.  Residues lie in [0, MOD_P), so every product is below
+    pivot was found.  Residues lie in [0, prime), so every product is below
     2^62.
     """
-    a = stack % MOD_P
     rank = np.zeros(len(a), dtype=np.int64)
     every = np.arange(len(a))
-    for _ in range(a.shape[2]):
+    for _ in range(columns):
         col = a[:, :, 0]
         found = col.any(axis=1)
         pivot_row = a[every, col.argmax(axis=1)]
         pivot = np.where(found, pivot_row[:, 0], 1)
-        a = (a[:, :, 1:] * pivot[:, None, None] - col[:, :, None] * pivot_row[:, None, 1:]) % MOD_P
+        a = a[:, :, 1:] * pivot[:, None, None]
+        a -= col[:, :, None] * pivot_row[:, None, 1:]
+        a %= prime
         rank += found
+    return rank, a
+
+
+def rank_mod_p(stack: np.ndarray, prime: int = MOD_P) -> np.ndarray:
+    """Rank modulo `prime` (at most MOD_P) of each matrix of an int64
+    (count, rows, columns) stack, as an int64 vector, all matrices at once
+    (`_eliminate` over every column)."""
+    return _eliminate(stack % prime, prime, stack.shape[2])[0]
+
+
+def _rank_screened(diffs: np.ndarray, head: int, top: int, prime: int) -> np.ndarray:
+    """Rank modulo `prime` of each matrix of an int64 (count, rows, n) stack
+    whose entries are at most `top` in absolute value.  A stack of more
+    than `head` rows has its first `head` rows eliminated together with an
+    identity (`_eliminate` on [lead^T | I]): the rows of I that were never
+    pivots become a basis of the vectors the lead annihilates mod `prime`.
+    A later row with a zero product against all of them lies in the span of
+    the lead, so a matrix whose later rows all do has the rank of its lead;
+    any other is eliminated in full.  The products are exact in int64
+    while n * top * prime < 2^63; past that every row is eliminated."""
+    count, rows, n = diffs.shape
+    if rows <= head or n * top * prime >= 1 << 63:
+        return rank_mod_p(diffs, prime)
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))
+    lead = diffs[:, :head].transpose(0, 2, 1) % prime
+    rank, kernel = _eliminate(np.concatenate([lead, eye], axis=2), prime, head)
+    kernel = kernel[:, kernel.any(axis=(0, 2))]  # the rows that are a kernel vector somewhere
+    products = diffs[:, head:] @ kernel.transpose(0, 2, 1) % prime
+    outside = np.flatnonzero(products.any(axis=(1, 2)))
+    if outside.size:
+        rank[outside] = rank_mod_p(diffs[outside], prime)
     return rank
+
+
+def affine_rank(stack: np.ndarray, stop: int) -> np.ndarray:
+    """min(affine rank, stop) of each point set of an int64 (count, m, n)
+    stack of m >= 1 points each, as an int64 vector; stop >= 0.  A set
+    padded by repeating one of its points keeps its affine rank.
+
+    The rank is that of the differences from each set's first point, taken
+    mod MOD_P and, where that falls short of r = min(stop, m - 1, n), also
+    mod MOD_Q; past the first 2 (stop + 1) differences, the others are
+    screened against those (`_rank_screened`).  A rank mod a prime never exceeds the rank over Q, and it
+    reaches it when some minor of that size is nonzero mod the prime.  With
+    B the largest absolute difference, an s x s minor is at most
+    (B sqrt(s))^s in absolute value (Hadamard), and for s <= r at most
+    (B sqrt(r))^r.  Below MOD_P no nonzero minor vanishes mod MOD_P, so one
+    prime is exact; below MOD_P * MOD_Q none vanishes mod both primes, so
+    the larger rank is exact.  Past that bound, and for points outside
+    +-2^62 or in an object array, there is no exact answer here: ValueError.
+    0/1 points have B = 1: one prime is exact up to r = 15, two up to 26.
+    """
+    count, m, n = stack.shape
+    if stack.dtype == object or _top(stack) >= INT64_SAFE:
+        raise ValueError("affine_rank needs int64 points within +-2^62")
+    r = min(stop, m - 1, n)
+    if r <= 0 or not count:
+        return np.zeros(count, dtype=np.int64)
+    diffs = stack[:, 1:] - stack[:, :1]
+    top = _top(diffs)
+    minors = (top * top * r) ** r  # the square of the Hadamard bound
+    if minors >= (MOD_P * MOD_Q) ** 2:
+        raise ValueError(f"minors of {r} rows with entries up to {top} may reach MOD_P * MOD_Q")
+    head = 2 * (stop + 1)
+    rank = _rank_screened(diffs, head, top, MOD_P)
+    short = np.flatnonzero(rank < r)
+    if minors >= MOD_P**2 and short.size:
+        again = _rank_screened(diffs[short], head, top, MOD_Q)
+        rank[short] = np.maximum(rank[short], again)
+    return np.minimum(rank, stop)
 
 
 def hnf_rows(rows) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -61,10 +61,10 @@ from .graph import (
 from .intlattice import (
     INT64_SAFE,
     _point_matrix,
+    _top,
     affine_rank,
     as_integer_vector,
     hnf_rows,
-    rank_mod_p,
     solve_unique_columns,
 )
 from .matchable import matchable_masks
@@ -306,11 +306,6 @@ class FacetCheckReport:
         }
 
 
-def _top(values: np.ndarray) -> int:
-    """The largest absolute entry of an integer array, exactly; 0 if empty."""
-    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
-
-
 def _reach(normals: np.ndarray) -> int:
     """The largest sum of absolute entries over the rows of `normals`,
     exactly (0 for none): summed in int64 only when no such sum can reach
@@ -380,17 +375,17 @@ def _row_values(normals: np.ndarray, matrix: np.ndarray):
         yield rows, normals[rows] @ points_t
 
 
-def _sample_ranks(matrix: np.ndarray, tight: np.ndarray, k: int) -> np.ndarray:
-    """Per row of `tight` (a bool mask over the rows of `matrix` with more
-    than k True entries), the rank mod MOD_P of the differences of k of its
-    tight points, spread evenly over them in order, from the first; one
-    `rank_mod_p` stack for all rows."""
+def _tight_stack(matrix: np.ndarray, tight: np.ndarray, width: int) -> np.ndarray:
+    """Per row of `tight` (a bool mask over the rows of `matrix`, each with
+    a True entry), `width` >= 2 of its tight points, as a (rows, width, n)
+    stack: every tight point, in order, repeated to fill when there are at
+    most `width` of them; an even spread from the first to the last when
+    there are more."""
     counts = tight.sum(axis=1)
     _, where = np.nonzero(tight)  # the tight points of each row, row after row
     starts = np.cumsum(counts) - counts
-    picks = where[starts[:, None] + np.arange(k) * (counts[:, None] - 1) // (k - 1)]
-    sample = matrix[picks]
-    return rank_mod_p(sample[:, 1:] - sample[:, :1])
+    picks = starts[:, None] + np.arange(width) * (counts[:, None] - 1) // (width - 1)
+    return matrix[where[picks]]
 
 
 def facet_scan(matrix: np.ndarray, dim: int, normals: np.ndarray, rhs: np.ndarray):
@@ -400,28 +395,34 @@ def facet_scan(matrix: np.ndarray, dim: int, normals: np.ndarray, rhs: np.ndarra
     some but not all points, a row cuts their affine hull in a hyperplane,
     so the rank cannot pass dim - 1.  Validity is left to the caller.
 
-    The rows of a block tight on more than k = 2 dim + 1 points are first
-    certified together (`_sample_ranks`): the rank mod MOD_P of k of their
-    tight points is at most the rank over Q of those points, which is at
-    most that of all the tight points, which is at most dim - 1, so a
-    sample reaching dim - 1 proves a facet.  Every other row, and every
-    row of a matrix whose differences may not fit int64, takes the exact
-    `affine_rank`, whose elimination stops at dim - 1.  The flags are
-    exactly those of `affine_rank` alone.
+    The proper rows of a block are ranked in one `affine_rank` stack of
+    k = 2 dim + 1 tight points each: all of them when there are at most k,
+    else an even spread.  A spread's rank is at most that of all the tight
+    points, so a spread reaching dim - 1 proves a facet.  The rows whose
+    spread falls short are ranked again in one more stack, on the spread
+    followed by all their tight points: `affine_rank` screens the points
+    after the first k against the span of those, and eliminates in full
+    only a set with a point outside it.  `affine_rank` is exact on every
+    0/1 point matrix up to `ENUMERATION_LIMIT` columns, and raises on a
+    matrix past its Hadamard bound rather than answer wrongly.
     """
     k = 2 * dim + 1
-    sampled = matrix.dtype != object and _top(matrix) < INT64_SAFE
+    stop = dim - 1
     for rows, block in _row_values(normals, matrix):
         tight = block == rhs[rows, None]
         counts = tight.sum(axis=1)
-        proper = (0 < counts) & (counts < len(matrix))
-        certified = proper & (counts > k) & sampled
-        if certified.any():
-            certified[certified] = _sample_ranks(matrix, tight[certified], k) >= dim - 1
-        for values, row_tight, maybe, sure in zip(
-            block, tight, proper.tolist(), certified.tolist()
-        ):
-            yield values, sure or maybe and affine_rank(matrix[row_tight], dim - 1) == dim - 1
+        proper = np.flatnonzero((0 < counts) & (counts < len(matrix)))
+        facet = np.zeros(len(block), dtype=bool)
+        if proper.size:
+            tight = tight[proper]
+            spread = _tight_stack(matrix, tight, k)
+            ranks = affine_rank(spread, stop)
+            short = np.flatnonzero((ranks < stop) & (counts[proper] > k))
+            if short.size:
+                full = _tight_stack(matrix, tight[short], int(counts[proper[short]].max()))
+                ranks[short] = affine_rank(np.concatenate([spread[short], full], axis=1), stop)
+            facet[proper] = ranks == stop
+        yield from zip(block, facet.tolist())
 
 
 def _member_labels(masks: np.ndarray, n: int) -> list[str]:

@@ -85,6 +85,43 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "dim", "--input", "no/such/file.edges")
         assert code == 2
 
+    def test_empty_input_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "dim", "--input", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --input is empty")
+
+    def test_directory_input_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "dim", "--input", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read input file {tmp_path}:")
+
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff1 2\n")
+        code, out, err = run_cli(capsys, "dim", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read input file {path}:")
+
+    def test_closed_stdout_ends_quietly(self):
+        """A reader that stops early (as `| head -c 20` does) closes the
+        pipe while pmsp still writes: no traceback, and no exit code that
+        reads as a verdict.  The output (93 kB) is larger than a pipe's
+        buffer, so the write meets the closed pipe."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        argv = ["facets", "--format", "text", "--input", str(FIXTURES / "blocks_k33_k4_k23.edges")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pmsp.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(20) == b"NonNeg(1): [-1 0 0 0"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "points", "--input", C4, "--max-n", "3")
         assert code == 3

@@ -22,6 +22,7 @@ from pmsp import (
     connected_components,
     cycle_graph,
     dimension,
+    gorenstein_bipartite,
     induced_subgraph,
     is_connected,
     lattice_points,
@@ -33,9 +34,9 @@ from pmsp import (
 from pmsp import graph as graph_module
 from pmsp.errors import NotBiconnectedError
 from pmsp.graph import classify_block, cut_vertex_mask
-from pmsp.intlattice import affine_rank
 
 from .conftest import FIXTURES, fixture_graphs, three_block_graph
+from .reference import affine_rank
 
 
 def random_graph_strategy(max_n: int = 8):
@@ -227,6 +228,17 @@ class TestBlocks:
     def test_cut_vertex_mask_star(self):
         g = complete_bipartite_graph(1, 4)
         assert cut_vertex_mask(g) == 1  # vertex v maps to bit v - 1
+
+    def test_one_block_scan_per_graph(self, monkeypatch):
+        """The bipartite decider's degree hypothesis and the bound-row flags
+        of its inequality system read one cut mask, kept with the graph."""
+        scans = []
+        scan = graph_module._block_scan
+        monkeypatch.setattr(graph_module, "_block_scan", lambda g: scans.append(g) or scan(g))
+        g = complete_bipartite_graph(3, 3)
+        assert gorenstein_bipartite(g).method == "neighborhood-surplus"
+        assert cut_vertex_mask(g) == 0
+        assert scans == [g]
 
     def test_classify_rejects_non_blocks(self):
         for g in (Graph(1, ()), Graph(2, ()), path_graph(3), Graph(4, ((1, 2), (2, 3), (1, 3)))):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from pmsp import intlattice
 from pmsp.intlattice import (
     MOD_P,
-    IntRowBasis,
-    affine_rank,
+    MOD_Q,
     as_integer_vector,
     hnf_rows,
     rank_mod_p,
@@ -20,7 +20,8 @@ from pmsp.intlattice import (
     solve_unique_rational,
 )
 
-from .reference import dot, lattice_coordinates
+from . import reference
+from .reference import IntRowBasis, affine_rank, dot, lattice_coordinates
 
 small_vec = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5)
 small_mat = st.integers(min_value=1, max_value=4).flatmap(
@@ -112,6 +113,128 @@ class TestRankModP:
         big = MOD_P - 1
         stack = np.array([[(big, big), (big, 1)], [(-1, -1), (-1, 1)], [(-2, 4), (1, -2)]])
         assert rank_mod_p(stack).tolist() == [2, 2, 1]
+
+    def test_second_prime(self):
+        """(MOD_Q, 1) and (0, 1) agree mod MOD_Q but not mod MOD_P."""
+        stack = np.array([[(MOD_Q, 1), (0, 1)], [(MOD_P, 1), (0, 1)]])
+        assert rank_mod_p(stack, MOD_Q).tolist() == [1, 2]
+        assert rank_mod_p(stack).tolist() == [2, 1]
+
+
+@st.composite
+def sign_stacks(draw):
+    """(stack, stop, ranks): point sets whose differences from their first
+    point are {-1, 0, 1} matrices of up to 20 x 20, their rows drawn from a
+    pool of random size so that every rank occurs, and min(sympy's rank of
+    each difference matrix, stop)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = draw(st.integers(min_value=1, max_value=3))
+    m, n = int(rng.integers(0, 21)), int(rng.integers(1, 21))
+    pool = int(rng.integers(1, m + 2))
+    rows = rng.integers(-1, 2, (count, pool, n))
+    diffs = rows[np.arange(count)[:, None], rng.integers(0, pool, (count, m))]
+    diffs *= rng.choice([-1, 1], (count, m, 1))
+    offset = rng.integers(-9, 10, (count, 1, n))
+    stack = np.concatenate([np.zeros((count, 1, n), dtype=np.int64), diffs], axis=1) + offset
+    stop = draw(st.sampled_from(range(22)))
+    return stack, stop, [min(sympy.Matrix(d.tolist()).rank(), stop) if m else 0 for d in diffs]
+
+
+class TestStackedAffineRank:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(sign_stacks())
+    def test_matches_sympy_rank(self, case):
+        """min(rank over Q of the differences, stop), as sympy finds it, for
+        every set: one prime is exact up to rank 15, two up to rank 20."""
+        stack, stop, expected = case
+        assert intlattice.affine_rank(stack, stop).tolist() == expected
+
+    def test_ranks_past_one_prime(self):
+        """Random {-1, 0, 1} differences of 16 to 20 rows: past 15 rows their
+        minors may reach MOD_P, so the bound asks for both primes."""
+        rng = np.random.default_rng(0)
+        for size in range(16, 21):
+            diffs = rng.integers(-1, 2, (2, size, 20))
+            stack = np.concatenate([np.zeros((2, 1, 20), dtype=np.int64), diffs], axis=1)
+            expected = [sympy.Matrix(d.tolist()).rank() for d in diffs]
+            assert intlattice.affine_rank(stack, 20).tolist() == expected
+            assert intlattice.affine_rank(stack, size - 1).tolist() == [size - 1] * 2
+
+    def test_tall_sets_are_screened(self, monkeypatch):
+        """Past the first 2 (stop + 1) differences, points are screened
+        against a kernel of those: only a set with a point outside their
+        span is eliminated in full."""
+        eliminated = []
+
+        def recording(stack, prime=MOD_P):
+            eliminated.append(stack.shape)
+            return rank_mod_p(stack, prime)
+
+        monkeypatch.setattr(intlattice, "rank_mod_p", recording)
+        line = [(i, i, 0) for i in range(200)]
+        stack = np.array([line + [(0, 0, 1)], line + [(7, 7, 0)]])
+        assert intlattice.affine_rank(stack, 2).tolist() == [2, 1]
+        assert eliminated == [(1, 200, 3)]
+
+    def test_padding_by_a_repeated_point(self):
+        triangle = [(0, 0), (1, 0), (0, 1)]
+        stack = np.array([triangle, triangle[:2] + triangle[1:2], [(5, 7)] * 3])
+        assert intlattice.affine_rank(stack, 2).tolist() == [2, 1, 0]
+        assert intlattice.affine_rank(stack, 1).tolist() == [1, 1, 0]
+        assert intlattice.affine_rank(stack[:, :1], 2).tolist() == [0, 0, 0]
+        assert intlattice.affine_rank(stack[:0], 2).tolist() == []
+
+    def test_one_prime_below_the_rank_over_q(self, monkeypatch):
+        """The difference determinant of these points is 46341^2 - 2 * 2317
+        = MOD_P exactly: rank 1 mod MOD_P, 2 over Q.  Entries up to 46341 put
+        the minors past MOD_P, so the second prime is asked too."""
+        points = [(0, 0), (46341, 2), (2317, 46341)]
+        assert 46341 * 46341 - 2 * 2317 == MOD_P
+        assert rank_mod_p(np.array([[(46341, 2), (2317, 46341)]])).tolist() == [1]
+        assert affine_rank(points) == 2
+        primes = []
+
+        def recording(stack, prime=MOD_P):
+            primes.append(prime)
+            return rank_mod_p(stack, prime)
+
+        monkeypatch.setattr(intlattice, "rank_mod_p", recording)
+        assert intlattice.affine_rank(np.array([points]), 2).tolist() == [2]
+        assert primes == [MOD_P, MOD_Q]
+
+    def test_one_prime_within_its_bound(self, monkeypatch):
+        """0/1 points of rank up to 15 need one prime: 15^15 < MOD_P^2."""
+        primes = []
+
+        def recording(stack, prime=MOD_P):
+            primes.append(prime)
+            return rank_mod_p(stack, prime)
+
+        monkeypatch.setattr(intlattice, "rank_mod_p", recording)
+        cube = np.vstack([np.zeros((1, 15), dtype=np.int64), np.eye(15, dtype=np.int64)])
+        assert intlattice.affine_rank(cube[None, :15], 15).tolist() == [14]
+        assert intlattice.affine_rank(cube[None], 15).tolist() == [15]
+        assert primes == [MOD_P, MOD_P]
+
+    def test_past_the_bound_raises(self):
+        """Minors of 2 rows with entries up to MOD_P may reach MOD_P * MOD_Q:
+        no prime pair certifies them, and there is no fallback."""
+        plane = np.array([[(0, 0, 0), (MOD_P, 0, 0), (0, 1, 0)]])
+        with pytest.raises(ValueError, match="MOD_P"):
+            intlattice.affine_rank(plane, 2)
+        # the bound counts only the rows the stop lets matter
+        assert intlattice.affine_rank(plane, 1).tolist() == [1]
+        # 0/1 points of rank 27: 27^27 > (MOD_P * MOD_Q)^2
+        cube = np.vstack([np.zeros((1, 27), dtype=np.int64), np.eye(27, dtype=np.int64)])
+        assert intlattice.affine_rank(cube[None], 26).tolist() == [26]
+        with pytest.raises(ValueError):
+            intlattice.affine_rank(cube[None], 27)
+
+    def test_object_and_oversized_points_raise(self):
+        with pytest.raises(ValueError):
+            intlattice.affine_rank(np.array([[(0, 0), (1, 1 << 70)]], dtype=object), 1)
+        with pytest.raises(ValueError):
+            intlattice.affine_rank(np.array([[(0, 0), (1, 1 << 62)]]), 1)
 
 
 class TestHnf:
@@ -333,7 +456,7 @@ class TestCertifiedAffineRank:
         def refuse(*args):
             raise AssertionError("screened a set no longer than its prefix")
 
-        monkeypatch.setattr(intlattice, "_outside_span", refuse)
+        monkeypatch.setattr(reference, "_outside_span", refuse)
         points = [(i, i, 0, 0) for i in range(9)]
         assert affine_rank(points, 3) == 1  # 1 base point + 2 * (3 + 1)
 

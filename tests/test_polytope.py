@@ -33,10 +33,10 @@ from pmsp import (
     path_graph,
     verify_facet_flags,
 )
-from pmsp import polytope
+from pmsp import intlattice, polytope
 from pmsp.polytope import RowSystem
 from pmsp.graph import bipartition, is_connected
-from pmsp.intlattice import MOD_P, _point_matrix, affine_rank, hnf_rows
+from pmsp.intlattice import MOD_P, _point_matrix, affine_rank, hnf_rows, rank_mod_p
 from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
@@ -48,6 +48,7 @@ from pmsp.polytope import (
     facet_scan,
 )
 
+from . import reference
 from .conftest import fixture_graphs
 from .reference import contains, coordinates, dot, lattice_coordinates, membership
 
@@ -238,7 +239,7 @@ class TestFacetScan:
                     active = [p for p, v in zip(points, exact) if v == rhs]
                     expected = (
                         0 < len(active) < len(points)
-                        and affine_rank(active) == dim - 1
+                        and reference.affine_rank(active) == dim - 1
                     )
                     assert facet == expected, (g.edges, normal, rhs)
                     checked += 1
@@ -278,10 +279,11 @@ class TestFacetScan:
         assert values.tolist() == [3 * huge, -1]
 
     def test_certificate_keeps_the_exact_flags(self, monkeypatch):
-        """Rows tight on more than 2 dim + 1 points are certified by a rank
-        mod MOD_P: every flag still equals the full affine rank of the
-        row's tight points compared with dim - 1, and `affine_rank` runs on
-        fewer rows than the scan flags."""
+        """Each block's proper rows are ranked in one stack of 2 dim + 1
+        tight points each, and only rows whose spread falls short again on
+        all their tight points: every flag equals the exact affine rank of
+        the row's tight points compared with dim - 1, and `affine_rank`
+        runs far fewer times than the scan flags rows."""
         rng = random.Random(0)
         seeded = [_seeded_nonbipartite(rng, 12, 20) for _ in range(3)]
         total_rows = total_calls = 0
@@ -291,34 +293,57 @@ class TestFacetScan:
             flags, calls = _counted_scan(monkeypatch, pts.matrix, dim, system.normals, system.rhs)
             for row, facet in zip(system, flags):
                 active = pts.matrix[pts.matrix @ np.array(row.normal) == row.rhs]
-                expected = 0 < len(active) < len(pts) and affine_rank(active) == dim - 1
+                expected = 0 < len(active) < len(pts) and reference.affine_rank(active) == dim - 1
                 assert facet == expected, (g.edges, row.source)
             assert len(flags) == len(system)
             if g in seeded:
                 assert calls < len(flags), g.edges
             total_rows += len(flags)
             total_calls += calls
-        assert total_calls < total_rows
+        assert total_calls < total_rows / 10
 
-    def test_rank_mod_p_below_rank_over_q_falls_back(self, monkeypatch):
-        """Every sample of the tight plane z = 0 has rank 1 mod MOD_P, since
-        (MOD_P, y, 0) = (0, y, 0) there, while its rank over Q is 2 = dim - 1:
-        the certificate fails and `affine_rank` sets the flag."""
+    def test_full_tight_sets_rank_the_short_spreads(self, monkeypatch):
+        """Rows tight on more than 2 dim + 1 = 7 points whose spread falls
+        short of dim - 1 are ranked again on all their tight points, the
+        spread first: the rest is screened against the spread, and only a
+        set with a point outside its span is eliminated in full.  z <= 0 is
+        tight on 13 points whose spread (every second one) misses (0, 1, 0),
+        so it is a facet found by the full elimination; y + z <= 0 is tight
+        on the 12 points of a line, which the screen settles."""
+        line = [(x, 0, 0) for x in range(1, 12)]
+        matrix = _point_matrix([(0, 0, 0), (0, 1, 0), *line, (0, 0, 1)])
+        normals, rhs = np.array([[0, 0, 1], [0, 1, 1]]), np.array([0, 0])
+        eliminated = []
+
+        def recording(stack, prime=MOD_P):
+            eliminated.append(stack.shape)
+            return rank_mod_p(stack, prime)
+
+        monkeypatch.setattr(intlattice, "rank_mod_p", recording)
+        assert [facet for _, facet in facet_scan(matrix, 3, normals, rhs)] == [True, False]
+        # the two spreads together, then only the z <= 0 set in full
+        assert eliminated == [(2, 6, 3), (1, 19, 3)]
+
+    def test_points_past_the_hadamard_bound_raise(self):
+        """The tight plane z = 0 has rank 2 = dim - 1 over Q but rank 1 mod
+        MOD_P, since (MOD_P, y, 0) = (0, y, 0) there.  Its differences reach
+        MOD_P, past what two primes certify: the scan raises instead of
+        flagging a row by a rank it cannot prove."""
         plane = [(x, y, 0) for x in (0, MOD_P) for y in range(5)]
-        assert affine_rank(plane) == 2
+        assert reference.affine_rank(plane) == 2
         matrix = _point_matrix([*plane, (0, 0, 1)])
         normals, rhs = np.array([[0, 0, 1]]), np.array([0])
-        assert _counted_scan(monkeypatch, matrix, 3, normals, rhs) == ([True], 1)
+        with pytest.raises(ValueError, match="MOD_P"):
+            list(facet_scan(matrix, 3, normals, rhs))
 
-    def test_object_matrix_skips_the_certificate(self, monkeypatch):
+    def test_object_matrix_raises(self):
+        """Python integers have no exact rank mod a prime here: an object
+        matrix raises, where the int64 one of the same points scans."""
         pts, system = lattice_points(complete_graph(6)), inequality_system(complete_graph(6))
-        flags, calls = _counted_scan(monkeypatch, pts.matrix, 6, system.normals, system.rhs)
-        as_object = pts.matrix.astype(object)
-        object_flags, object_calls = _counted_scan(
-            monkeypatch, as_object, 6, system.normals, system.rhs
-        )
-        assert object_flags == flags == system.facet.tolist()
-        assert calls < object_calls
+        flags = [facet for _, facet in facet_scan(pts.matrix, 6, system.normals, system.rhs)]
+        assert flags == system.facet.tolist()
+        with pytest.raises(ValueError):
+            list(facet_scan(pts.matrix.astype(object), 6, system.normals, system.rhs))
 
 
 class TestJsonText:
@@ -832,8 +857,9 @@ class TestUnflaggedRows:
             enumerated.append((normals.tolist(), bound.tolist()))
             return _dilate_codes(normals, bound, n, k)
 
-        for name in ("facet_scan", "affine_rank", "rank_mod_p"):
+        for name in ("facet_scan", "affine_rank"):
             monkeypatch.setattr(polytope, name, refuse)
+        monkeypatch.setattr(intlattice, "rank_mod_p", refuse)
         monkeypatch.setattr(polytope, "_dilate_codes", recording)
         triangle_with_tail = Graph(6, ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6)))
         graphs = (complete_graph(5), cycle_graph(5), triangle_with_tail, cycle_graph(6),
