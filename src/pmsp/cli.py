@@ -4,15 +4,17 @@ Verbs either compute data (points, facets, dim, matchable, classify, sweep)
 or decide a property (check-compressed, check-gorenstein, check-normal).
 Exit codes: 0 = true / success, 1 = property false or sweep disagreement,
 2 = usage or input error (an unreadable input file included), 3 = budget
-exceeded, 141 = standard output closed before the output was written (the
-shell's code for a SIGPIPE death).  All output is deterministic; JSON
-objects are emitted with sorted keys.
+exceeded, 70 = internal error (any other exception, reported on one line
+of standard error), 141 = standard output closed before the output was
+written (the shell's code for a SIGPIPE death).  All output is
+deterministic; JSON objects are emitted with sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -35,6 +37,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
 def _dump(obj) -> str:
@@ -138,8 +141,15 @@ def read_graph(args) -> Graph:
     return parse_graph(text, args.max_n)
 
 
-def _emit(line: str) -> None:
-    sys.stdout.write(line + "\n")
+def _emit(text: str) -> None:
+    """Write `text` and a newline, a buffer's size at a time.  A buffered
+    write longer than the buffer that meets a closed pipe can return short
+    without raising, and the rest of the text is lost; slices are written
+    through the buffer's flush, which raises `BrokenPipeError` instead."""
+    text += "\n"
+    step = io.DEFAULT_BUFFER_SIZE
+    for start in range(0, len(text), step):
+        sys.stdout.write(text[start : start + step])
 
 
 def _verdict_text(verdict) -> list[str]:
@@ -166,9 +176,8 @@ def _run_points(g: Graph, args) -> int:
     if args.format == "json":
         _emit(_dump(pts.to_json()))
     else:
-        _emit(f"n={g.n} points={len(pts)}")
-        for p in pts.matrix.tolist():
-            _emit(" ".join(map(str, p)))
+        rows = (" ".join(map(str, p)) for p in pts.matrix.tolist())
+        _emit("\n".join([f"n={g.n} points={len(pts)}", *rows]))
     return EXIT_TRUE
 
 
@@ -176,11 +185,8 @@ def _run_facets(g: Graph, args) -> int:
     system = inequality_system(g)
     if args.format == "json":
         _emit(system.to_json_text())
-    else:
-        for ineq in system:
-            normal = " ".join(map(str, ineq.normal))
-            tag = "facet" if ineq.facet else "valid"
-            _emit(f"{ineq.source}: [{normal}] <= {ineq.rhs} ({tag})")
+    elif len(system):
+        _emit(system.to_text())
     return EXIT_TRUE
 
 
@@ -198,9 +204,8 @@ def _run_matchable(g: Graph, args) -> int:
     if args.format == "json":
         _emit(_dump({"count": len(family), "subsets": family.as_lists()}))
     else:
-        _emit(f"n={g.n} matchable={len(family)}")
-        for members in family.as_lists():
-            _emit(" ".join(map(str, members)) if members else "(empty)")
+        rows = (" ".join(map(str, members)) or "(empty)" for members in family.as_lists())
+        _emit("\n".join([f"n={g.n} matchable={len(family)}", *rows]))
     return EXIT_TRUE
 
 
@@ -359,6 +364,9 @@ def main(argv=None) -> int:
     except PmspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault in pmsp itself, never a verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ inequality system is one `RowSystem`: a matrix of normals with vectors of
 right-hand sides, facet flags and sources, one entry per row.  The row
 builders emit it; the transport to lattice coordinates, the validity guard,
 the facet scans, the Gorenstein search, the dilate checks, the `facets`
-JSON writer and the bipartite deciders of `classify` read its arrays; and
+writers and the bipartite deciders of `classify` read its arrays; and
 the values of all rows over all points come from block products
 (`_row_values`).  The tuples of `PointSet.points` (built on first read)
 and `NormalizedPolytope.points`, and the `AffineInequality` rows a
@@ -22,6 +22,13 @@ point set (with the lattice it spans) and its system with its subset
 tables: `lattice_points` and `inequality_system` build each once per graph,
 with read-only arrays, and every routine asking about that graph reads the
 same objects.
+
+The facet flags of a system are criteria read off the graph and its subset
+tables, except those of the rows x_v <= 1 of a nonbipartite graph, which
+`facet_scan` ranks.  The oracles (`verify_facet_flags`,
+`oracle.sullivant_compressed`) rank every row.  The `facets` writers read
+the text of each normal off tables of the texts of all half rows with
+entries in {-1, 0, 1} (`_normal_texts`).
 
 There is one normalization: points and rows are rewritten in the Hermite
 basis of the lattice the points span (`normalize_lattice`).  For a connected
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 
@@ -162,7 +169,63 @@ class AffineInequality:
     source: str
 
 
-_JSON_BOOL = ("false", "true")
+# the text before a row's normal, after the close of the row before it
+_JSON_HEADS = np.array(
+    ['"},{"facet":false,"normal":[', '"},{"facet":true,"normal":['], dtype=object
+)
+_TEXT_TAGS = np.array(["valid)\n", "facet)\n"], dtype=object)
+
+
+@cache
+def _ternary_texts(width: int, sep: str, closed: bool) -> np.ndarray:
+    """The texts of all 3^width rows with entries in {-1, 0, 1}: the
+    entries joined by `sep`, and followed by one more `sep` unless
+    `closed`.  A read-only object array, indexed by the base-3 code
+    sum (e_i + 1) 3^i of the row."""
+    texts = [""]
+    for _ in range(width):
+        texts = [digit + rest for rest in texts for digit in (f"-1{sep}", f"0{sep}", f"1{sep}")]
+    if closed and width:
+        texts = [text[: -len(sep)] for text in texts]
+    table = np.array(texts, dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+def _normal_texts(normals: np.ndarray, sep: str) -> tuple[list[str], list[str]]:
+    """The entries of each row of `normals` joined by `sep`, as two pieces
+    per row that concatenate to it.  Rows with entries in {-1, 0, 1} are
+    coded in base 3, one product per half of the columns, and read off two
+    `_ternary_texts` tables, the low piece ending in `sep` (or empty, for
+    n = 1).  Any other matrix is written one `json.dumps` per row,
+    with an empty high piece."""
+    rows, n = normals.shape
+    if normals.dtype.kind != "i" or _top(normals) > 1:
+        texts = [json.dumps(row, separators=(sep, ":"))[1:-1] for row in normals.tolist()]
+        return texts, [""] * rows
+    half = n // 2
+    low = (normals[:, :half] + 1) @ 3 ** np.arange(half, dtype=np.int64)
+    high = (normals[:, half:] + 1) @ 3 ** np.arange(n - half, dtype=np.int64)
+    return (
+        _ternary_texts(half, sep, False)[low].tolist(),
+        _ternary_texts(n - half, sep, True)[high].tolist(),
+    )
+
+
+def _value_texts(values: np.ndarray, template: str) -> list[str]:
+    """`template` formatted with each entry of `values`, formatted once per
+    distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([template.format(v) for v in distinct.tolist()], dtype=object)[index].tolist()
+
+
+def _interleave(columns: list) -> str:
+    """The pieces of every row, row after row, joined into one string:
+    column j holds the j-th piece of each row."""
+    pieces = [""] * sum(map(len, columns))
+    for j, column in enumerate(columns):
+        pieces[j :: len(columns)] = column
+    return "".join(pieces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,18 +270,34 @@ class RowSystem:
 
     def to_json_text(self) -> str:
         """The text of `json.dumps(self.to_json(), sort_keys=True,
-        separators=(",", ":"))`, written one row at a time without the
-        dicts: the keys in sorted order, the normals cut from one dump of
-        the matrix, the sources escaped as `json.dumps` escapes them."""
-        normals = json.dumps(self.normals.tolist(), separators=(",", ":"))[2:-2].split("],[")
-        rows = ",".join(
-            f'{{"facet":{_JSON_BOOL[facet]},"normal":[{normal}],"rhs":{rhs},'
-            f'"source":{encode_basestring_ascii(source)}}}'
-            for normal, rhs, facet, source in zip(
-                normals, self.rhs.tolist(), self.facet.tolist(), self.sources
-            )
-        )
-        return f'{{"count":{len(self)},"inequalities":[{rows}]}}'
+        separators=(",", ":"))`, written without the dicts: the keys in
+        sorted order, the normals from `_normal_texts`, the sources escaped
+        as `json.dumps` escapes them (only when one of them needs it), all
+        pieces joined at once."""
+        if not len(self):
+            return '{"count":0,"inequalities":[]}'
+        low, high = _normal_texts(self.normals, ",")
+        heads = _JSON_HEADS[self.facet.astype(np.intp)].tolist()
+        heads[0] = heads[0][3:]  # no row closes before the first
+        joined = "".join(self.sources)
+        sources = self.sources
+        if encode_basestring_ascii(joined) != f'"{joined}"':  # some source needs escapes
+            sources = [encode_basestring_ascii(s)[1:-1] for s in sources]
+        rhs = _value_texts(self.rhs, '],"rhs":{},"source":"')
+        body = _interleave([heads, low, high, rhs, sources])
+        return f'{{"count":{len(self)},"inequalities":[{body}"}}]}}'
+
+    def to_text(self) -> str:
+        """The rows as lines `source: [normal] <= rhs (tag)`, the normal's
+        entries separated by spaces and the tag `facet` or `valid`, joined
+        by newlines; the normals from `_normal_texts`."""
+        if not len(self):
+            return ""
+        low, high = _normal_texts(self.normals, " ")
+        tags = _TEXT_TAGS[self.facet.astype(np.intp)].tolist()
+        tags[-1] = tags[-1][:-1]  # no newline after the last line
+        rhs = _value_texts(self.rhs, "] <= {} (")
+        return _interleave([self.sources, [": ["] * len(self), low, high, rhs, tags])
 
 
 @dataclass(frozen=True)
@@ -425,21 +504,41 @@ def facet_scan(matrix: np.ndarray, dim: int, normals: np.ndarray, rhs: np.ndarra
         yield from zip(block, facet.tolist())
 
 
-def _member_labels(masks: np.ndarray, n: int) -> list[str]:
-    """The vertices of each mask as ascending comma-separated labels, read
-    off two tables of the labels of every low and every high half of the
-    n bits."""
+@cache
+def _label_texts(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): two read-only object arrays whose entries add up to
+    the text `name(labels)` of a vertex mask of n bits, its vertices as
+    ascending comma-separated labels.  Entry m of `high` lists the
+    vertices of the high bits m (those from n // 2 up) and the closing
+    parenthesis, and is empty for m = 0.  Entry m of `low` opens with the
+    name and lists the vertices of the low bits m with a comma after them;
+    entry 2^(n // 2) + m closes the list instead, for a mask with no high
+    bit."""
     half = n // 2
 
-    def table(offset: int, width: int) -> list[str]:
+    def labels(offset: int, width: int) -> list[str]:
         return [
-            "".join(f"{offset + i + 1}," for i in range(width) if m >> i & 1)
+            ",".join(str(offset + i + 1) for i in range(width) if m >> i & 1)
             for m in range(1 << width)
         ]
 
-    low, high = table(0, half), table(half, n - half)
-    low_bits = (1 << half) - 1
-    return [(low[m & low_bits] + high[m >> half])[:-1] for m in masks.tolist()]
+    low = labels(0, half)
+    opened = [f"{name}({text}," if text else f"{name}(" for text in low]
+    closed = [f"{name}({text})" for text in low]
+    high = [f"{text})" if text else "" for text in labels(half, n - half)]
+    tables = np.array(opened + closed, dtype=object), np.array(high, dtype=object)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _member_sources(name: str, masks: np.ndarray, n: int) -> list[str]:
+    """The source `name(labels)` of each mask, the labels of its vertices
+    ascending and comma-separated, read off the `_label_texts` tables."""
+    low, high = _label_texts(name, n)
+    half = n // 2
+    top = masks >> half
+    return (low[(masks & (1 << half) - 1) + (top == 0) * (1 << half)] + high[top]).tolist()
 
 
 def _bounds(n: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -473,7 +572,7 @@ def _bipartite_system(g: Graph) -> RowSystem:
     bit = np.arange(n)
     balance = np.where(v1.mask >> bit & 1, 1, -1)
     cut_rows = (subs[:, None] >> bit & 1) - (gams[:, None] >> bit & 1)
-    sources += [f"BipartiteCut({members})" for members in _member_labels(subs, n)]
+    sources += _member_sources("BipartiteCut", subs, n)
     sources += ["Balance(upper)", "Balance(lower)"]
     return RowSystem(
         np.vstack([normals, cut_rows, balance, -balance]),
@@ -539,18 +638,24 @@ def _odd_set_facets(g: Graph, masks: np.ndarray, gams: np.ndarray) -> np.ndarray
 
 
 def _nonbipartite_system(g: Graph) -> RowSystem:
-    """The rows of `_nonbipartite_rows` with facet flags: the bound rows
-    flagged by their ranks (`facet_scan`), an odd-set row by the criterion
-    of `_odd_set_facets`."""
+    """The rows of `_nonbipartite_rows` with facet flags.  The face of
+    -x_v <= 0 is the polytope of G - v, whose dimension is n - 1 less the
+    number of bipartite components of G - v (an isolated vertex counts as
+    one; Balas & Pulleyblank, Combinatorica 9, 1989): so the row is a
+    facet exactly when every component of G - v is nonbipartite, one
+    lookup in the subset tables.  The rows x_v <= 1 are flagged by their
+    ranks (`facet_scan`), an odd-set row by the criterion of
+    `_odd_set_facets`."""
     normals, rhs, masks, gams = _nonbipartite_rows(g)
-    bounds = 2 * g.n
+    n = g.n
+    facts, _ = subset_tables(g).component_facts
+    nonneg = facts[g.full_mask ^ (1 << np.arange(n))] & NONBIPARTITE != 0
     matrix = lattice_points(g).matrix
-    flags = [facet for _, facet in facet_scan(matrix, g.n, normals[:bounds], rhs[:bounds])]
+    upper = [facet for _, facet in facet_scan(matrix, n, normals[n : 2 * n], rhs[n : 2 * n])]
     criterion = _odd_set_facets(g, masks, gams)
-    sources = _bounds(g.n)[2] + [f"OddSet({m})" for m in _member_labels(masks, g.n)]
-    return RowSystem(
-        normals, rhs, np.concatenate([np.array(flags, dtype=bool), criterion]), tuple(sources)
-    )
+    sources = _bounds(n)[2] + _member_sources("OddSet", masks, n)
+    flags = np.concatenate([nonneg, np.array(upper, dtype=bool), criterion])
+    return RowSystem(normals, rhs, flags, tuple(sources))
 
 
 def inequality_system(g: Graph) -> RowSystem:
@@ -559,8 +664,10 @@ def inequality_system(g: Graph) -> RowSystem:
 
     Connected graphs only.  Bipartite graphs get the bound rows, one row
     per proper nonempty subset of the first color class, and the balance
-    pair; nonbipartite graphs get the bound rows (flagged by the ranks of
-    their tight lattice points) and one row per admissible odd vertex set.
+    pair; nonbipartite graphs get the bound rows and one row per
+    admissible odd vertex set.  Every flag is read off the graph, except
+    those of the rows x_v <= 1 of a nonbipartite graph, which are flagged
+    by the ranks of their tight lattice points (`_nonbipartite_system`).
     """
     if not is_connected(g):
         raise DisconnectedError("inequality systems are defined per connected graph")

@@ -246,3 +246,14 @@ def gorenstein_bipartite(g) -> Verdict:
     return Verdict(
         "gorenstein", True, "neighborhood-surplus", certificate=GorensteinCertificate(2, ones[:-1], ones)
     )
+
+
+def facets_text(system) -> str:
+    """The lines `pmsp facets --format text` prints for `system`, one
+    f-string per row: the oracle of `RowSystem.to_text`."""
+    lines = []
+    for ineq in system:
+        normal = " ".join(map(str, ineq.normal))
+        tag = "facet" if ineq.facet else "valid"
+        lines.append(f"{ineq.source}: [{normal}] <= {ineq.rhs} ({tag})")
+    return "\n".join(lines)

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from pmsp.budgets import ENUMERATION_LIMIT
+from pmsp import cli
 from pmsp.cli import main, read_graph
 from pmsp.graph import Graph
 from pmsp.polytope import inequality_system
@@ -121,6 +122,45 @@ class TestExitCodes:
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+    def test_closed_stdout_after_one_long_write(self):
+        """The JSON of `facets` is one string (about 100 kB here), longer
+        than the pipe holds: a reader that stops early still ends the
+        write with 141, not with the success code of a full output."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        argv = ["facets", "--input", str(FIXTURES / "blocks_k33_k4_k23.edges")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pmsp.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(20) == b'{"count":1340,"inequ'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+    def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
+        """Any other exception ends with exit 70 and one line on stderr,
+        never with 1 ("property false") and a traceback."""
+        def broken(g, args):
+            raise RuntimeError("index out of step")
+
+        monkeypatch.setattr(cli, "_run_check_compressed", broken)
+        code, out, err = run_cli(capsys, "check-compressed", "--input", C4)
+        assert code == cli.EXIT_INTERNAL == 70
+        assert out == ""
+        assert err == "error: internal: RuntimeError: index out of step\n"
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def interrupted(g, args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_run_dim", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["dim", "--input", C4])
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run_cli(capsys, "points", "--input", C4, "--max-n", "3")

@@ -43,6 +43,7 @@ from pmsp.polytope import (
     _dilate_codes,
     _lattice_codes,
     _lattice_reduce,
+    _member_sources,
     _row_values,
     _transport_flagged,
     facet_scan,
@@ -346,9 +347,23 @@ class TestFacetScan:
             list(facet_scan(pts.matrix.astype(object), 6, system.normals, system.rhs))
 
 
+def _ternary_system(rng: np.random.Generator, n: int, rows: int) -> RowSystem:
+    """`rows` random rows with entries in {-1, 0, 1} (zero one time in
+    five), after the all -1 and all 1 rows: the first and last entries of
+    the text tables."""
+    random_rows = rng.choice([-1, 0, 1], size=(rows, n), p=[0.4, 0.2, 0.4])
+    normals = np.vstack([-np.ones(n), np.ones(n), random_rows]).astype(np.int64)
+    count = len(normals)
+    return RowSystem(normals, rng.integers(-3, 30, count), rng.random(count) < 0.5,
+                     tuple(f"Row({i})" for i in range(count)))
+
+
 class TestJsonText:
     """`RowSystem.to_json_text` writes the bytes of the sorted-key dump of
-    `to_json()`."""
+    `to_json()`, and `RowSystem.to_text` the per-row f-string of
+    `reference.facets_text`.  Both read normals with entries in {-1, 0, 1}
+    off the base-3 tables, and write any other matrix one `json.dumps` per
+    row."""
 
     @staticmethod
     def _dump(system: RowSystem) -> str:
@@ -359,17 +374,99 @@ class TestJsonText:
         for g in fixture_graphs() + connected_7 + bipartite_8:
             system = inequality_system(g)
             assert system.to_json_text() == self._dump(system), g.edges
+            assert system.to_text() == reference.facets_text(system), g.edges
             checked += 1
         assert checked > 1000
 
     def test_empty_wide_and_escaped_rows(self):
-        assert _no_rows(3).to_json_text() == '{"count":0,"inequalities":[]}'
+        """The other path: a system with no rows, an object matrix of wide
+        entries with escaped sources, and an int64 entry of 2."""
         odd = _system([
             ((1 << 70, -1), -(1 << 65), True, 'quote " back \\ tab \t é'),
             ((0, 0), 0, False, "OddSet(1,2,3)|NonNeg(4)"),
         ])
         assert odd.normals.dtype == object
-        assert odd.to_json_text() == self._dump(odd)
+        two = _system([((2, -1, 0), 1, True, "A"), ((0, 1, -2), 0, False, "B(1,2)")])
+        assert two.normals.dtype == np.int64
+        assert _no_rows(3).to_json_text() == '{"count":0,"inequalities":[]}'
+        for system in (_no_rows(3), odd, two):
+            assert system.to_json_text() == self._dump(system)
+            assert system.to_text() == reference.facets_text(system)
+
+    def test_table_path_for_every_width(self, monkeypatch):
+        """n = 1..9 (odd and even halves) and a dense n = 20, whose halves
+        read the 3^10 tables; the writers call no `json` routine."""
+        rng = np.random.default_rng(23)
+        systems = [_ternary_system(rng, n, 200) for n in range(1, 10)]
+        systems += [_ternary_system(rng, 20, 3000), inequality_system(complete_graph(3))]
+        dumps = [self._dump(system) for system in systems]
+        monkeypatch.setattr(polytope, "json", None)
+        for system, dump in zip(systems, dumps):
+            assert system.to_json_text() == dump, system.normals.shape
+            assert system.to_text() == reference.facets_text(system), system.normals.shape
+        assert polytope._ternary_texts(10, ",", True).shape == (3**10,)
+
+    def test_member_sources_match_the_joined_labels(self):
+        """Every mask of n <= 9 bits, the empty one included, whether or
+        not it has a high bit."""
+        for n in range(10):
+            expected = [
+                f"Cut({','.join(str(v) for v in range(1, n + 1) if m >> (v - 1) & 1)})"
+                for m in range(1 << n)
+            ]
+            assert _member_sources("Cut", np.arange(1 << n), n) == expected, n
+
+
+class TestNonnegativityFlags:
+    """A nonbipartite graph's row -x_v <= 0 is a facet exactly when every
+    component of G - v is nonbipartite: the system reads that off the
+    subset tables, and the flags equal the ones `facet_scan` ranks."""
+
+    @staticmethod
+    def _seeded(count: int) -> list[Graph]:
+        """`count` seeded connected nonbipartite G(n, 2n), n = 10..16."""
+        rng = random.Random(23)
+        sizes = [rng.randint(10, 16) for _ in range(count)]
+        return [_seeded_nonbipartite(rng, n, 2 * n) for n in sizes]
+
+    def test_match_the_rank_flags(self, connected_7, pseudotrees_9):
+        graphs = [g for g in connected_7 + pseudotrees_9 if bipartition(g) is None]
+        checked = facets = 0
+        for g in graphs + self._seeded(100):
+            system = inequality_system(g)
+            n = g.n
+            matrix = lattice_points(g).matrix
+            ranked = [f for _, f in facet_scan(matrix, n, system.normals[:n], system.rhs[:n])]
+            assert system.facet[:n].tolist() == ranked, g.edges
+            assert system.sources[:n] == tuple(f"NonNeg({v})" for v in range(1, n + 1))
+            checked += n
+            facets += sum(ranked)
+        assert checked > 9000
+        assert 0 < facets < checked
+
+    def test_system_ranks_only_the_upper_rows(self, monkeypatch):
+        """The build scans the n rows x_v <= 1 and no other: every point
+        set `affine_rank` sees lies in a face x_v = 1."""
+        scanned, ranked = [], []
+
+        def scanning(matrix, dim, normals, rhs):
+            scanned.append(normals.tolist())
+            return facet_scan(matrix, dim, normals, rhs)
+
+        def ranking(stack, stop):
+            ranked.append(stack)
+            return affine_rank(stack, stop)
+
+        monkeypatch.setattr(polytope, "facet_scan", scanning)
+        monkeypatch.setattr(polytope, "affine_rank", ranking)
+        triangle_with_tail = Graph(6, ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6)))
+        for g in [complete_graph(6), cycle_graph(7), triangle_with_tail, *self._seeded(3)]:
+            scanned.clear()
+            inequality_system(g)
+            assert scanned == [np.eye(g.n, dtype=np.int64).tolist()], g.edges
+        assert ranked
+        for stack in ranked:
+            assert (stack == 1).all(axis=1).any(axis=1).all()
 
 
 class TestNormalization:
