@@ -21,10 +21,6 @@ class NotBipartiteError(PmspError):
     """Operation requires a bipartite graph (or a valid bipartition)."""
 
 
-class NotBiconnectedError(PmspError):
-    """Operation requires a 2-connected graph or a single edge."""
-
-
 class NotPseudotreeError(PmspError):
     """Operation requires a connected graph with at most |V| edges."""
 

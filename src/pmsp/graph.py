@@ -23,7 +23,6 @@ from .budgets import GRAPH_VERTEX_LIMIT
 from .errors import (
     DisconnectedError,
     GraphParseError,
-    NotBiconnectedError,
     SelfLoopError,
     TooLargeError,
 )
@@ -516,17 +515,6 @@ def cut_vertex_mask(g: Graph) -> int:
     if g._cuts is None:
         g._cuts = _block_scan(g)[1]
     return g._cuts
-
-
-def classify_block(g: Graph) -> BlockKind:
-    """Shape of a 2-connected graph (a single edge counts as K_{1,1}).
-
-    Checks K4 before K_{1,1,2} so the five-edge and six-edge shapes on four
-    vertices get distinct tags; K3 is tagged K11n(1).
-    """
-    if len(_block_scan(g)[0]) != 1 or not is_connected(g):
-        raise NotBiconnectedError(f"{g!r} is not 2-connected or a single edge")
-    return _block_kind(g.adj_masks, g.full_mask, g.edge_count)
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> Graph:

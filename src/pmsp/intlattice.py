@@ -8,12 +8,12 @@ can only fall below the rank over Q, and only when a minor is a multiple
 of the prime; Hadamard's bound on the minors of the stack says when
 neither prime can divide one, so the rank is exact, and a stack past that
 bound raises instead of falling back.
-`hnf_rows` returns an echelon basis of the row lattice: strictly increasing
-pivot columns and positive pivots; the entries above a pivot are not
-reduced to a canonical range.  The linear solves run on arbitrary-precision
-Python integers, and their solutions come out as Fractions.  Point lists
-become integer arrays through `_point_matrix`: int64, or Python integers in
-an object array when a value does not fit.
+`hnf_rows` returns the Hermite normal form of a row lattice.  No production
+path calls it: it builds the basis of the tests' one-point reference loop,
+and pmspbench's tracer wraps it as a layer.  The linear solves run on
+arbitrary-precision Python integers, and their solutions come out as
+Fractions.  Point lists become integer arrays through `_point_matrix`:
+int64, or Python integers in an object array when a value does not fit.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ def affine_rank(stack: np.ndarray, stop: int) -> np.ndarray:
 
 
 def hnf_rows(rows) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Echelon basis of the row lattice: (basis rows, pivot columns), the
-    pivot columns strictly increasing and the pivots positive.  Rows are
-    reduced against the later pivots from the last pivot up, and each step
-    can move entries an earlier step reduced, so the entries above a pivot
-    need not lie in [0, pivot)."""
+    """Hermite normal form of the row lattice: (basis rows, pivot columns),
+    the pivot columns strictly increasing, the pivots positive and the
+    entries above each pivot in [0, pivot).  The back-reduction runs from
+    the first pivot down: reducing by the row of pivot column p touches only
+    columns >= p, so the columns already reduced stay in range."""
     work = [list(r) for r in rows if any(r)]
     if not work:
         return [], []
@@ -174,7 +174,7 @@ def hnf_rows(rows) -> tuple[list[tuple[int, ...]], list[int]]:
         basis.append(row)
         pivots.append(col)
         work = rest
-    for i in range(len(basis) - 1, -1, -1):
+    for i in range(len(basis)):
         piv = basis[i][pivots[i]]
         for j in range(i):
             q = basis[j][pivots[i]] // piv

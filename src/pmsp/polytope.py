@@ -8,7 +8,7 @@ properties (facet ranks, Gorenstein interior vectors, dilate decompositions)
 in exact integer arithmetic.
 
 A point set is one integer matrix, one row per point: the 0/1 rows of
-`PointSet.matrix`, or the coordinate rows `normalize_lattice` reduces.  An
+`PointSet.matrix`, or the coordinate rows `normalize_lattice` maps.  An
 inequality system is one `RowSystem`: a matrix of normals with vectors of
 right-hand sides, facet flags and sources, one entry per row.  The row
 builders emit it; the transport to lattice coordinates, the validity guard,
@@ -31,7 +31,8 @@ the text of each normal off tables of the texts of all half rows with
 entries in {-1, 0, 1} (`_normal_texts`).
 
 There is one normalization: points and rows are rewritten in the Hermite
-basis of the lattice the points span (`normalize_lattice`).  For a connected
+basis of the lattice the points span (`normalize_lattice`), the lattice of
+the edges, which `_edge_lattice` gives in closed form.  For a connected
 bipartite graph that basis is e_i +- e_n, so the map drops the last
 coordinate (`bipartite_projection`).
 """
@@ -63,6 +64,7 @@ from .graph import (
     mask_is_connected,
     mask_neighborhood,
     mask_two_color,
+    mask_vertices,
     proper_nonempty_submasks,
 )
 from .intlattice import (
@@ -71,7 +73,6 @@ from .intlattice import (
     _top,
     affine_rank,
     as_integer_vector,
-    hnf_rows,
     solve_unique_columns,
 )
 from .matchable import matchable_masks
@@ -80,51 +81,61 @@ from .subsets import CRITICAL, NONBIPARTITE, ODD_SET, subset_tables
 
 @dataclass(frozen=True)
 class AffineLattice:
-    """Affine lattice `origin + Z-span(basis)` with a Hermite basis."""
+    """Affine lattice `origin + Z-span(basis)` with its Hermite basis, the
+    canonical one: the entries above each pivot lie in [0, pivot)."""
 
     ambient_n: int
     origin: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
-    @classmethod
-    def from_points(cls, points) -> "AffineLattice":
-        """The lattice the differences of the points from the first span.
-
-        Each round reduces the candidate points at once (`_lattice_reduce`)
-        and extends the basis with the difference of the first one outside,
-        through `hnf_rows`.  The lattice only grows, so a point inside stays
-        inside: the candidates of the next round are the later points that
-        were outside, and the differences join the basis in the order a
-        one-point-at-a-time scan would add them.
-        """
-        matrix = _point_matrix(points)
-        if not len(matrix):
-            raise DegeneratePointSetError("no points to span a lattice")
-        origin = tuple(matrix[0].tolist())
-        lat = cls(len(origin), origin, (), ())
-        top = _top(matrix)
-        rest = matrix[1:]
-        while True:
-            outside = np.flatnonzero(~_lattice_reduce(rest, top, lat)[1])
-            if not outside.size:
-                return lat
-            diff = [x - o for x, o in zip(rest[outside[0]].tolist(), origin)]
-            basis, pivots = hnf_rows([*lat.basis, diff])
-            lat = cls(lat.ambient_n, origin, tuple(basis), tuple(pivots))
-            rest = rest[outside[1:]]
-
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def to_ambient(self, coords) -> tuple[int, ...]:
-        out = list(self.origin)
-        for c, row in zip(coords, self.basis):
-            if c:
-                for i, x in enumerate(row):
-                    out[i] += c * x
-        return tuple(out)
+        basis = _point_matrix(self.basis).reshape(self.rank, self.ambient_n)
+        return tuple((_point_matrix(self.origin) + _point_matrix(coords) @ basis).tolist())
+
+
+def _edge_lattice(g: Graph) -> AffineLattice:
+    """The lattice the points of `g` span: every matchable set is a
+    disjoint union of edges, so it is the lattice of the edges, with origin
+    0 (the empty set).  Per component C with last vertex l, its Hermite
+    basis is e_i + e_l (i in C, i < l) and 2 e_l when C is not bipartite
+    ({x : sum over C even}), and e_i -+ e_l when it is ({x : the color
+    classes of C have equal sums}; minus when i and l share a color)."""
+    n = g.n
+    rows = {}  # pivot column -> basis row
+    for comp in mask_components(g.adj_masks, g.full_mask):
+        color = mask_two_color(g.adj_masks, comp)
+        *rest, last = (v - 1 for v in mask_vertices(comp))
+        for i in rest:
+            rows[i] = row = [0] * n
+            row[i] = 1
+            row[last] = 1 if color is None or (color >> i ^ color >> last) & 1 else -1
+        if color is None:
+            rows[last] = row = [0] * n
+            row[last] = 2
+    pivots = sorted(rows)
+    basis = tuple(tuple(rows[p]) for p in pivots)
+    return AffineLattice(n, (0,) * n, basis, tuple(pivots))
+
+
+def _lattice_coordinates(points: np.ndarray, lat: AffineLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates over the basis of an `_edge_lattice` `lat` (origin 0) of
+    the rows x of an int64 `points` matrix, and the mask of the rows in
+    `lat`: x at each pivot 1, (x_l less the other rows' shares of x_l) // 2
+    for a row 2 e_l, and in `lat` when the coordinates map back to x.
+    Exact in int64 for points in [0, k]."""
+    basis = np.array(lat.basis, dtype=np.int64).reshape(lat.rank, lat.ambient_n)
+    pivots = np.array(lat.pivots, dtype=np.intp)
+    coords = points[:, pivots]
+    rows = np.flatnonzero(basis[np.arange(lat.rank), pivots] == 2)  # the rows 2 e_l
+    last = pivots[rows]
+    coords[:, rows] = 0
+    coords[:, rows] = (points[:, last] - coords @ basis[:, last]) // 2
+    return coords, (coords @ basis == points).all(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +147,7 @@ class PointSet:
 
     ambient_n: int
     matrix: np.ndarray = field(repr=False)
+    lattice: AffineLattice
 
     def __post_init__(self) -> None:
         self.matrix.flags.writeable = False
@@ -143,10 +155,6 @@ class PointSet:
     @cached_property
     def points(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.matrix.tolist()))
-
-    @cached_property
-    def lattice(self) -> AffineLattice:
-        return AffineLattice.from_points(self.matrix)
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -394,31 +402,6 @@ def _reach(normals: np.ndarray) -> int:
     return int(abs(normals).sum(axis=-1).max(initial=0))
 
 
-def _lattice_reduce(
-    points: np.ndarray, top: int, lat: AffineLattice
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates over the Hermite basis of `lat` of the rows of `points`
-    (entries at most `top` in absolute value) and the mask of the rows in
-    `lat`, all reduced at once: per basis row, in pivot order, a point's
-    coordinate is its entry at the pivot floor-divided by the pivot, and
-    that multiple of the row is subtracted.  A pivot entry its basis row
-    does not divide leaves a remainder that no later row touches, so a row
-    is in `lat` exactly when its residue is 0.
-    A value starts at most top + max|origin| and grows at most
-    (1 + max|basis entry|) fold per basis row; past INT64_SAFE the
-    reduction runs in Python ints."""
-    basis = _point_matrix(lat.basis)
-    start = top + max(map(abs, lat.origin))
-    dtype = np.int64 if start * (1 + _top(basis)) ** lat.rank < INT64_SAFE else object
-    basis = basis.astype(dtype, copy=False)
-    v = points.astype(dtype) - np.array(lat.origin, dtype=dtype)
-    coords = np.empty((len(v), lat.rank), dtype=dtype)
-    for i, (row, p) in enumerate(zip(basis, lat.pivots)):
-        coords[:, i] = v[:, p] // row[p]
-        v -= coords[:, i, None] * row
-    return coords, (v == 0).all(axis=1)
-
-
 def lattice_points(g: Graph) -> PointSet:
     """All lattice points of the polytope: indicators of matchable sets.
     Built once per graph and kept with its subset tables."""
@@ -426,7 +409,7 @@ def lattice_points(g: Graph) -> PointSet:
     tables = subset_tables(g)
     if tables.points is None:
         matrix = masks[:, None] >> np.arange(g.n) & 1
-        tables.points = PointSet(g.n, matrix)
+        tables.points = PointSet(g.n, matrix, _edge_lattice(g))
     return tables.points
 
 
@@ -765,7 +748,7 @@ def normalize_lattice(pts: PointSet, system: RowSystem) -> NormalizedPolytope:
     if len(pts) < 2:
         raise DegeneratePointSetError("need at least two points to normalize")
     lat = pts.lattice
-    coords, inside = _lattice_reduce(pts.matrix, 1, lat)
+    coords, inside = _lattice_coordinates(pts.matrix, lat)
     if not inside.all():
         raise DegeneratePointSetError("point outside its own spanning lattice")
     rows = _transport_flagged(system, lat)
@@ -868,14 +851,6 @@ def _dilate_codes(normals, bound, n: int, k: int) -> np.ndarray:
     return codes
 
 
-def _lattice_codes(
-    codes: np.ndarray, weights: np.ndarray, k: int, lat: AffineLattice
-) -> np.ndarray:
-    """The codes whose points lie in `lat`."""
-    _, inside = _lattice_reduce(codes[:, None] // weights % (k + 1), k, lat)
-    return codes[inside]
-
-
 def _dilate_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(normals, rhs): the rows that cut out the polytope of a connected
     graph, and so its dilates.  A bipartite graph keeps
@@ -912,7 +887,7 @@ def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
     with code 0, so a sum of fewer points is a sum of k and each round
     adds the points to every sum marked so far.  It is also the origin of
     the point lattice, so a sum of k points lies in the lattice: normality
-    mode reduces only the points that do not split.
+    mode tests only the points that do not split.
     """
     for mode in modes:
         if mode not in ("idp", "normality"):
@@ -942,7 +917,8 @@ def dilate_checks(g: Graph, k: int, modes) -> tuple[DilateCheck, ...]:
     for mode in modes:
         missing, count = unsplit, len(codes)
         if mode == "normality":
-            missing = _lattice_codes(unsplit, weights, k, pts.lattice)
+            points = unsplit[:, None] // weights % (k + 1)
+            missing = unsplit[_lattice_coordinates(points, pts.lattice)[1]]
             count = len(codes) - len(unsplit) + len(missing)
         witness = None
         if len(missing):

@@ -1,12 +1,14 @@
 """Per-point and per-subset reference routines in pure Python.
 
-The package reduces, tests and enumerates whole point sets at once with
-numpy (`_lattice_reduce`, `_lattice_codes`, `_row_values`,
-`dilate_checks`), ranks stacks of point sets modulo primes
-(`intlattice.affine_rank`), and the bipartite deciders test the rows of the
-graph's inequality system in one product.  These one-at-a-time versions are
-what the tests compare those array routines against; `affine_rank` here is
-the exact rank over Q, by fraction-free elimination in Python integers.
+The package maps, tests and enumerates whole point sets at once with
+numpy (`_lattice_coordinates`, `_row_values`, `dilate_checks`), ranks
+stacks of point sets modulo primes (`intlattice.affine_rank`), and the
+bipartite deciders test the rows of the graph's inequality system in one
+product.  These one-at-a-time versions are what the tests compare those
+array routines against; `affine_rank` here is the exact rank over Q, by
+fraction-free elimination in Python integers, and `lattice_coordinates`
+reduces a vector against a Hermite basis one row at a time, as the
+one-point `hnf_rows` loop the point lattice is checked against does.
 """
 
 from __future__ import annotations

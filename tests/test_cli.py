@@ -226,6 +226,18 @@ class TestExitCodes:
         assert code == 1
         assert "no-perfect-matching" in out
 
+    def test_interior_point_in_the_canonical_basis(self, capsys):
+        """A nonbipartite graph's `interior_point` is in the coordinates of
+        the Hermite basis e_i + e_n, 2 e_n of {x : sum x even}."""
+        edges = "1 2;1 3;1 5;2 4;2 6;3 5;4 6"
+        code, out, _ = run_cli(capsys, "check-gorenstein", "--input", edges)
+        assert code == 0
+        (component,) = json.loads(out)["components"]
+        certificate = component["verdict"]["certificate"]
+        assert certificate["index"] == 2
+        assert certificate["interior_point"] == [1, 1, 1, 1, 1, -2]
+        assert certificate["interior_point_ambient"] == [1, 1, 1, 1, 1, 1]
+
 
 class TestSchemas:
     def test_points(self, capsys):

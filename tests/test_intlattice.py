@@ -257,14 +257,19 @@ class TestHnf:
             sol = ours_mat.T.solve(theirs[i, :].T) if ours else None
             assert sol is not None and all(x.is_integer for x in sol)
 
-    def test_pivot_reduction(self):
-        basis, pivots = hnf_rows([(2, 1), (0, 3)])
-        # with two rows one back-reduction step puts the entry above the
-        # second pivot in [0, pivot); with more rows a later step can move
-        # it out again, so hnf_rows promises no such range in general
+    @settings(max_examples=200)
+    @given(small_mat)
+    def test_pivot_reduction(self, rows):
+        basis, pivots = hnf_rows([tuple(r) for r in rows])
+        assert pivots == sorted(set(pivots))
         for j, col in enumerate(pivots):
+            assert basis[j][col] > 0 and not any(basis[j][:col])
             for i in range(j):
                 assert 0 <= basis[i][col] < basis[j][col]
+        assert hnf_rows([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == (
+            [(1, 0, 1), (0, 1, 1), (0, 0, 2)],
+            [0, 1, 2],
+        )
 
     def test_lattice_membership(self):
         basis, pivots = hnf_rows([(2, 0), (0, 2)])

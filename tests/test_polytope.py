@@ -41,8 +41,7 @@ from pmsp.polytope import (
     INT64_SAFE,
     AffineLattice,
     _dilate_codes,
-    _lattice_codes,
-    _lattice_reduce,
+    _lattice_coordinates,
     _member_sources,
     _row_values,
     _transport_flagged,
@@ -183,13 +182,29 @@ def _scan_cases(g):
     yield norm.points, norm.dim, rows, _point_matrix(norm.points)
 
 
-def _seeded_nonbipartite(rng: random.Random, n: int, m: int) -> Graph:
-    """A uniform connected nonbipartite graph with n vertices and m edges."""
+def _seeded_gnm(rng: random.Random, n: int, m: int, accept=is_connected) -> Graph:
+    """A uniform graph with n vertices and m edges on which `accept` holds."""
     pairs = list(combinations(range(1, n + 1), 2))
     while True:
         g = Graph(n, rng.sample(pairs, m))
-        if is_connected(g) and bipartition(g) is None:
+        if accept(g):
             return g
+
+
+def _seeded_nonbipartite(rng: random.Random, n: int, m: int) -> Graph:
+    """A uniform connected nonbipartite graph with n vertices and m edges."""
+    return _seeded_gnm(rng, n, m, lambda g: is_connected(g) and bipartition(g) is None)
+
+
+def _disjoint_unions(graphs: list[Graph], max_n: int) -> list[Graph]:
+    """Every unordered pair of `graphs` side by side, with at most max_n
+    vertices in total."""
+    return [
+        Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+        for i, a in enumerate(graphs)
+        for b in graphs[i:]
+        if a.n + b.n <= max_n
+    ]
 
 
 def _counted_scan(monkeypatch, matrix, dim, normals, rhs) -> tuple[list[bool], int]:
@@ -536,26 +551,45 @@ class TestNormalization:
         assert checked == len(bipartite_8) - 1
 
     def test_points_reduced_as_one_matrix(self, connected_7):
-        """normalize_lattice reduces every point in one numpy pass; each row
-        equals the one-point reduction of the reference `coordinates`."""
+        """normalize_lattice maps every point in one numpy pass; each row
+        equals the one-point reduction of the reference `coordinates`.  The
+        closed-form map agrees with `coordinates` and `contains` on every
+        point of [0, k]^n, k = 2, 3, on connected and disconnected graphs,
+        and `to_ambient` inverts it."""
         for g in connected_7[::5]:
             pts = lattice_points(g)
             if len(pts) < 2:
                 continue
             norm = normalize_lattice(pts, _no_rows(g.n))
             assert norm.points == tuple(coordinates(pts.lattice, p) for p in pts.points)
-        lat = lattice_points(cycle_graph(5)).lattice
-        units = np.eye(5, dtype=np.int64)
-        coords, inside = _lattice_reduce(np.vstack([units, 2 * units]), 2, lat)
-        assert inside.tolist() == [False] * 5 + [True] * 5
-        assert [lat.to_ambient(c) for c in coords[5:].tolist()] == [
-            tuple(2 * (i == j) for j in range(5)) for i in range(5)
-        ]
+        small = [g for g in connected_7 if g.n <= 5]
+        assert Graph(1, ()) in small
+        assert {bipartition(g) is None for g in small} == {True, False}
+        for g in small + _disjoint_unions(small, 5):
+            lat = lattice_points(g).lattice
+            for k in (2, 3):
+                box = np.array(list(product(range(k + 1), repeat=g.n)), dtype=np.int64)
+                coords, inside = _lattice_coordinates(box, lat)
+                for point, c, member in zip(box.tolist(), coords.tolist(), inside.tolist()):
+                    expected = coordinates(lat, point)
+                    assert member == contains(lat, point), (g.edges, point)
+                    if member:
+                        assert tuple(c) == expected, (g.edges, point)
+                        assert lat.to_ambient(c) == tuple(point)
 
-    def test_lattice_matches_the_one_point_loop(self, connected_7, bipartite_8):
-        """`from_points` screens all points per basis extension; the basis
-        equals that of reducing the points one at a time."""
-        for g in connected_7 + bipartite_8 + fixture_graphs():
+    def test_lattice_matches_the_one_point_loop(self, connected_7, bipartite_8, pseudotrees_9):
+        """The closed-form lattice equals the Hermite basis of reducing the
+        points one at a time and extending the basis with `hnf_rows`, on
+        connected graphs and on disjoint unions of two."""
+        rng = random.Random(26)
+        seeded = []
+        for n in range(10, 15):
+            for m in (n - 1, n + 2, 2 * n):
+                seeded.append(_seeded_gnm(rng, n, m))
+        assert {bipartition(g) is None for g in seeded} == {True, False}
+        unions = _disjoint_unions([g for g in connected_7 if g.n <= 4], 8)
+        assert not any(map(is_connected, unions))
+        for g in connected_7 + bipartite_8 + pseudotrees_9 + fixture_graphs() + seeded + unions:
             points = lattice_points(g).points
             origin = points[0]
             basis, pivots = [], []
@@ -564,8 +598,18 @@ class TestNormalization:
                 if lattice_coordinates(basis, pivots, diff) is None:
                     basis, pivots = hnf_rows([list(r) for r in basis] + [diff])
             expected = AffineLattice(g.n, origin, tuple(basis), tuple(pivots))
-            assert AffineLattice.from_points(points) == expected, g.edges
-            assert lattice_points(g).lattice == expected
+            assert lattice_points(g).lattice == expected, g.edges
+
+    def test_nonbipartite_lattice_depends_on_n_alone(self, connected_7):
+        """Every connected nonbipartite graph on n vertices spans the one
+        lattice {x : sum x even}, so its points' coordinates depend on the
+        lattice alone."""
+        lattices: dict = {}
+        for g in connected_7:
+            if bipartition(g) is None:
+                lattices.setdefault(g.n, set()).add(lattice_points(g).lattice)
+        assert sorted(lattices) == [3, 4, 5, 6, 7]
+        assert all(len(found) == 1 for found in lattices.values())
 
     def test_nonbipartite_lattice_index_two(self):
         """For an odd cycle the point lattice is the even-coordinate-sum
@@ -927,16 +971,6 @@ class TestDilateCodes:
             codes = _dilate_codes(normals, bound, 2, 2)
             assert codes.tolist() == _box_codes(normals, bound, 2, 2)
             assert codes.size
-
-    def test_oversized_basis_uses_python_ints(self):
-        # (3, 2) - 3 * (1, e) is (0, -2^64), which int64 would wrap to (0, 0)
-        e = (2**64 + 2) // 3
-        lat = AffineLattice(2, (0, 0), ((1, e),), (0,))
-        weights = np.array([4, 1])
-        codes = np.arange(16)
-        inside = _lattice_codes(codes, weights, 3, lat)
-        assert inside.tolist() == [0]
-        assert [c for c in range(16) if contains(lat, (c // 4, c % 4))] == [0]
 
 
 class TestUnflaggedRows:

@@ -183,28 +183,23 @@ def test_point_set_and_system_are_kept_read_only():
 
 
 def _count_builds(monkeypatch) -> tuple[Counter, Counter]:
-    """Count the lattices built, keyed by their points, and the inequality
-    systems built, keyed by their graph."""
+    """Count the lattices built and the inequality systems built, each
+    keyed by its graph."""
     import pmsp.polytope as polytope
 
     lattices: Counter = Counter()
     systems: Counter = Counter()
-    from_points = polytope.AffineLattice.from_points.__func__
 
-    def counted_lattice(cls, points):
-        lattices[points.tobytes(), points.shape] += 1
-        return from_points(cls, points)
-
-    def counted(build):
+    def counted(build, counter):
         def wrapper(g):
-            systems[g] += 1
+            counter[g] += 1
             return build(g)
 
         return wrapper
 
-    monkeypatch.setattr(polytope.AffineLattice, "from_points", classmethod(counted_lattice))
+    monkeypatch.setattr(polytope, "_edge_lattice", counted(polytope._edge_lattice, lattices))
     for name in ("_bipartite_system", "_nonbipartite_system"):
-        monkeypatch.setattr(polytope, name, counted(getattr(polytope, name)))
+        monkeypatch.setattr(polytope, name, counted(getattr(polytope, name), systems))
     return lattices, systems
 
 
