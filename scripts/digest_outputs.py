@@ -17,9 +17,13 @@ block kinds with `compressed_by_theorem` over the `all` corpus with n <= N;
 of two such graphs with n <= N + 1 (`classify_all` splits components
 first, so no other family reaches a disconnected graph's component
 table); and `gorenstein_pseudotree` over the `pseudotree` corpus with
-n <= N + 2.  A computation over its budget contributes the name of the
-error it raised, as does a disconnected graph where a family needs a
-connected one.  Run it once per checkout and compare:
+n <= N + 2.  The `lattice_unions` family digests the point lattice over
+the disjoint unions of two `all` corpus graphs with at most 4 vertices
+each, isolated vertices included: the direct sum over the components
+that no connected graph reaches.  A computation over its budget
+contributes the name of the error it raised, as does a disconnected graph
+where a family needs a connected one.  Run it once per checkout and
+compare:
 
     PYTHONPATH=src python3 scripts/digest_outputs.py --max-n 6
 
@@ -71,13 +75,14 @@ def connected_graphs(max_n: int):
     return generate_corpus(CorpusSpec(max_n=max_n))
 
 
-def disjoint_unions(max_n: int):
+def disjoint_unions(max_n: int, part_n: int | None = None):
     """Every unordered pair of `all` corpus graphs, side by side, with at
-    most N + 1 vertices in total."""
-    small = list(connected_graphs(max_n))
+    most N + 1 vertices in total, or, given `part_n`, with at most
+    `part_n` vertices each."""
+    small = list(connected_graphs(max_n if part_n is None else part_n))
     for i, a in enumerate(small):
         for b in small[i:]:
-            if a.n + b.n <= max_n + 1:
+            if part_n is not None or a.n + b.n <= max_n + 1:
                 shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
                 yield Graph(a.n + b.n, a.edges + shifted)
 
@@ -172,6 +177,7 @@ SOURCES = (
     ({"structure": blocks}, connected_graphs),
     ({"structure": component_tables}, disjoint_unions),
     ({"structure": lambda g: gorenstein_pseudotree(g).to_json()}, pseudotrees),
+    ({"lattice_unions": lattice}, lambda max_n: disjoint_unions(max_n, part_n=4)),
 )
 
 

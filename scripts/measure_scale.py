@@ -2,9 +2,9 @@
 
 Builds a uniform connected nonbipartite G(n, m) from `--seed`, then times
 `lattice_points` and `inequality_system` on it and reports the process's
-peak resident set size.  The system reads the point set that
-`lattice_points` kept on the graph, so the two times do not overlap.  Run it in a fresh process per graph, so the peak
-belongs to that graph alone:
+peak resident set size.  The system reads no point, so the two times do
+not overlap.  Run it in a fresh process per graph, so the peak belongs to
+that graph alone:
 
     python3 scripts/measure_scale.py --n 20 --m 50 --seed 0
 

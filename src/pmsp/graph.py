@@ -300,12 +300,7 @@ def mask_component(adj_masks, allowed: int, seed: int) -> int:
 
 
 def mask_components(adj_masks, mask: int) -> list[int]:
-    comps = []
-    while mask:
-        comp = mask_component(adj_masks, mask, mask & -mask)
-        comps.append(comp)
-        mask &= ~comp
-    return comps
+    return [comp for comp, _ in mask_colorings(adj_masks, mask)]
 
 
 def mask_is_connected(adj_masks, mask: int) -> bool:
@@ -315,14 +310,14 @@ def mask_is_connected(adj_masks, mask: int) -> bool:
     return mask_component(adj_masks, mask, mask & -mask) == mask
 
 
-def mask_two_color(adj_masks, mask: int) -> int | None:
-    """Two-coloring of the induced subgraph on `mask`: the vertices at even
-    breadth-first depth from the lowest vertex of their component, or None
-    when some layer holds an edge (all other edges join adjacent layers)."""
-    even = 0
+def mask_colorings(adj_masks, mask: int):
+    """Yield (component, even) per component of the induced subgraph on
+    `mask`, lowest vertex first: even is the set of vertices at even
+    breadth-first depth from its lowest vertex, or None when some layer
+    holds an edge (all other edges join adjacent layers): not bipartite."""
     while mask:
         seen = frontier = mask & -mask
-        at_even = True
+        even, odd, at_even = 0, 0, True
         while frontier:
             if at_even:
                 even |= frontier
@@ -334,12 +329,17 @@ def mask_two_color(adj_masks, mask: int) -> int | None:
                 reach |= adj_masks[low.bit_length()]
                 rest ^= low
             reach &= mask
-            if reach & frontier:
-                return None
+            odd |= reach & frontier
             frontier = reach & ~seen
             seen |= frontier
+        yield seen, None if odd else even
         mask &= ~seen
-    return even
+
+
+def mask_two_color(adj_masks, mask: int) -> int | None:
+    """Union of the even sets of `mask_colorings`; None unless bipartite."""
+    colors = [even for _, even in mask_colorings(adj_masks, mask)]
+    return None if None in colors else sum(colors)
 
 
 def mask_neighborhood(adj_masks, mask: int) -> int:

@@ -26,7 +26,13 @@ from .classify import (
 from .errors import DisconnectedError, TooLargeError, UnsupportedShapeError
 from .graph import Graph, VertexSet, bipartition, is_connected, mask_vertices
 from .matchable import MatchableFamily, matchable_subsets
-from .polytope import facet_scan, gorenstein_geometric, inequality_system, lattice_points
+from .polytope import (
+    _row_values,
+    facet_scan,
+    gorenstein_geometric,
+    inequality_system,
+    lattice_points,
+)
 
 
 def _edge_scan_cover(edge_bits, target: int, start: int) -> bool:
@@ -68,8 +74,8 @@ def sullivant_compressed(g: Graph):
 
     Facets are detected from active-set ranks, ignoring the criterion flags.
     The polytope is compressed exactly when every facet row sees at most two
-    distinct values; a witness records one facet with three levels and a
-    realizing point per level.
+    distinct values; a witness records the first facet with three levels and
+    a realizing point per level.
     """
     if not is_connected(g):
         raise DisconnectedError("the level-count test needs a connected graph")
@@ -79,20 +85,21 @@ def sullivant_compressed(g: Graph):
         )
     pts = lattice_points(g)
     system = inequality_system(g)
-    scan = facet_scan(pts.matrix, pts.lattice.rank, system.normals, system.rhs)
-    for (values, facet), rhs, source in zip(scan, system.rhs.tolist(), system.sources):
-        if not facet:
-            continue
-        values = values.tolist()
-        distinct = sorted(set(values))
-        if len(distinct) > 2:
-            witness = {
-                "source": source,
-                "levels": [v - rhs for v in distinct],
+    rows = []  # the rows with a middle value, the only ones with three levels
+    for block, values in _row_values(system.normals, pts.matrix):
+        middle = (values.min(1, keepdims=True) < values) & (values < values.max(1, keepdims=True))
+        rows += (block.start + middle.any(1).nonzero()[0]).tolist()
+    scan = facet_scan(pts.matrix, pts.lattice.rank, system.normals[rows], system.rhs[rows])
+    for (values, facet), i in zip(scan, rows):
+        if facet:
+            values = values.tolist()
+            distinct = sorted(set(values))
+            return False, {
+                "source": system.sources[i],
+                "levels": [v - int(system.rhs[i]) for v in distinct],
                 "values": distinct,
                 "points": [pts.matrix[values.index(v)].tolist() for v in distinct[:3]],
             }
-            return False, witness
     return True, None
 
 

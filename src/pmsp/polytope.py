@@ -24,11 +24,11 @@ with read-only arrays, and every routine asking about that graph reads the
 same objects.
 
 The facet flags of a system are criteria read off the graph and its subset
-tables, except those of the rows x_v <= 1 of a nonbipartite graph, which
-`facet_scan` ranks.  The oracles (`verify_facet_flags`,
-`oracle.sullivant_compressed`) rank every row.  The `facets` writers read
-the text of each normal off tables of the texts of all half rows with
-entries in {-1, 0, 1} (`_normal_texts`).
+tables (`_bound_facets` for every bound row), so a system build ranks
+nothing and enumerates no point; only the oracles (`verify_facet_flags`,
+`oracle.sullivant_compressed`) rank rows, with `facet_scan`.  The `facets`
+writers read the text of each normal off tables of the texts of all half
+rows with entries in {-1, 0, 1} (`_normal_texts`).
 
 There is one normalization: points and rows are rewritten in the Hermite
 basis of the lattice the points span (`normalize_lattice`), the lattice of
@@ -58,12 +58,10 @@ from .errors import (
 from .graph import (
     Graph,
     bipartition,
-    cut_vertex_mask,
     is_connected,
-    mask_components,
+    mask_colorings,
     mask_is_connected,
     mask_neighborhood,
-    mask_two_color,
     mask_vertices,
     proper_nonempty_submasks,
 )
@@ -107,8 +105,7 @@ def _edge_lattice(g: Graph) -> AffineLattice:
     classes of C have equal sums}; minus when i and l share a color)."""
     n = g.n
     rows = {}  # pivot column -> basis row
-    for comp in mask_components(g.adj_masks, g.full_mask):
-        color = mask_two_color(g.adj_masks, comp)
+    for comp, color in mask_colorings(g.adj_masks, g.full_mask):
         *rest, last = (v - 1 for v in mask_vertices(comp))
         for i in rest:
             rows[i] = row = [0] * n
@@ -413,10 +410,14 @@ def lattice_points(g: Graph) -> PointSet:
     return tables.points
 
 
+def _bipartite_parts(adj_masks, mask: int) -> int:
+    """The number of bipartite components (isolated vertices too) on `mask`."""
+    return sum(even is not None for _, even in mask_colorings(adj_masks, mask))
+
+
 def dimension(g: Graph) -> int:
     """Dimension of the polytope: n minus the number of bipartite components."""
-    comps = mask_components(g.adj_masks, g.full_mask)
-    return g.n - sum(mask_two_color(g.adj_masks, c) is not None for c in comps)
+    return g.n - _bipartite_parts(g.adj_masks, g.full_mask)
 
 
 _VALUES_BLOCK = 1 << 14  # row values (rows x points) multiplied out at a time
@@ -531,20 +532,44 @@ def _bounds(n: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return np.vstack([-eye, eye]), np.repeat(np.arange(2), n), sources
 
 
+def _bound_facets(g: Graph) -> list[bool]:
+    """Facet flags of the bound rows of a connected graph.  The face x_v = 0
+    is P(G - v) (Balas & Pulleyblank, Combinatorica 9, 1989); the face
+    x_v = 1, moved to the origin, is spanned by e_u - e_w (u, w in N(v))
+    and e_a + e_b (ab an edge of G - v, N(v) not inside {a, b}), a signed
+    graph of rank n - 1 less its balanced components (Zaslavsky, Discrete
+    Appl. Math. 4, 1982): the bipartite ones of G less those edges (at the
+    neighbor of a v of degree 1, all but va; for v of degree 2, a triangle's
+    third edge), v tying N(v) to one color.  So a row is a facet exactly when
+    n > 1 and G - v, or G less those edges, has n - dim P bipartite ones."""
+    adj, full, balanced = g.adj_masks, g.full_mask, g.n - dimension(g)
+    lower, upper = [], []
+    for v in g.vertices():
+        bit, nbrs = 1 << (v - 1), adj[v]
+        lower.append(_bipartite_parts(adj, full ^ bit))
+        if nbrs.bit_count() == 1:
+            upper.append(1 + _bipartite_parts(adj, full ^ bit ^ nbrs))
+        elif nbrs.bit_count() == 2 and adj[nbrs.bit_length()] & nbrs:
+            kept = list(adj)
+            for u in mask_vertices(nbrs):
+                kept[u] &= ~nbrs
+            upper.append(_bipartite_parts(kept, full))
+        else:
+            upper.append(balanced)
+    return [g.n > 1 and parts == balanced for parts in lower + upper]
+
+
 def _bipartite_system(g: Graph) -> RowSystem:
-    """The rows of a connected bipartite graph's system with facet flags:
-    the bound rows, one cut row per proper nonempty subset S of the first
-    color class, sorted by (cardinality, mask), and the balance pair.  The
-    cut row of S is 1 on S and -1 on its neighborhood N(S), rhs 0, and a
-    facet when S + N(S) and the rest of the graph both induce connected
+    """A connected bipartite graph's rows with facet flags: the bound rows
+    (`_bound_facets`), one cut row per proper nonempty subset S of the
+    first color class, sorted by (cardinality, mask), and the balance pair.
+    The cut row of S is 1 on S and -1 on its neighborhood N(S), rhs 0, and
+    a facet when S + N(S) and the rest of the graph both induce connected
     subgraphs.  This is the one scan of the color-class subsets: the
     bipartite deciders of `classify` read these rows."""
     v1, v2 = bipartition(g)
     n = g.n
     normals, rhs, sources = _bounds(n)
-    cuts = cut_vertex_mask(g)
-    flags = [n > 1 and not cuts >> (v - 1) & 1 for v in g.vertices()]
-    flags += [n > 1 and (g.edge_count == 1 or g.degree(v) >= 2) for v in g.vertices()]
     adj = g.adj_masks
     found = []
     for s in proper_nonempty_submasks(v1.mask):
@@ -560,7 +585,7 @@ def _bipartite_system(g: Graph) -> RowSystem:
     return RowSystem(
         np.vstack([normals, cut_rows, balance, -balance]),
         np.concatenate([rhs, np.zeros(len(found) + 2, dtype=np.int64)]),
-        np.concatenate([flags, facets.astype(bool), [False, False]]),
+        np.concatenate([_bound_facets(g), facets.astype(bool), [False, False]]),
         tuple(sources),
     )
 
@@ -621,23 +646,11 @@ def _odd_set_facets(g: Graph, masks: np.ndarray, gams: np.ndarray) -> np.ndarray
 
 
 def _nonbipartite_system(g: Graph) -> RowSystem:
-    """The rows of `_nonbipartite_rows` with facet flags.  The face of
-    -x_v <= 0 is the polytope of G - v, whose dimension is n - 1 less the
-    number of bipartite components of G - v (an isolated vertex counts as
-    one; Balas & Pulleyblank, Combinatorica 9, 1989): so the row is a
-    facet exactly when every component of G - v is nonbipartite, one
-    lookup in the subset tables.  The rows x_v <= 1 are flagged by their
-    ranks (`facet_scan`), an odd-set row by the criterion of
-    `_odd_set_facets`."""
+    """The rows of `_nonbipartite_rows` with facet flags, the bound rows
+    flagged by `_bound_facets` and the odd-set rows by `_odd_set_facets`."""
     normals, rhs, masks, gams = _nonbipartite_rows(g)
-    n = g.n
-    facts, _ = subset_tables(g).component_facts
-    nonneg = facts[g.full_mask ^ (1 << np.arange(n))] & NONBIPARTITE != 0
-    matrix = lattice_points(g).matrix
-    upper = [facet for _, facet in facet_scan(matrix, n, normals[n : 2 * n], rhs[n : 2 * n])]
-    criterion = _odd_set_facets(g, masks, gams)
-    sources = _bounds(n)[2] + _member_sources("OddSet", masks, n)
-    flags = np.concatenate([nonneg, np.array(upper, dtype=bool), criterion])
+    sources = _bounds(g.n)[2] + _member_sources("OddSet", masks, g.n)
+    flags = np.concatenate([_bound_facets(g), _odd_set_facets(g, masks, gams)])
     return RowSystem(normals, rhs, flags, tuple(sources))
 
 
@@ -648,9 +661,9 @@ def inequality_system(g: Graph) -> RowSystem:
     Connected graphs only.  Bipartite graphs get the bound rows, one row
     per proper nonempty subset of the first color class, and the balance
     pair; nonbipartite graphs get the bound rows and one row per
-    admissible odd vertex set.  Every flag is read off the graph, except
-    those of the rows x_v <= 1 of a nonbipartite graph, which are flagged
-    by the ranks of their tight lattice points (`_nonbipartite_system`).
+    admissible odd vertex set.  Every flag is a criterion read off the
+    graph (`_bound_facets` for the bound rows): no rank is computed and no
+    point is enumerated.
     """
     if not is_connected(g):
         raise DisconnectedError("inequality systems are defined per connected graph")
@@ -856,8 +869,8 @@ def _dilate_rows(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     graph, and so its dilates.  A bipartite graph keeps
     the rows of its system flagged as facets and the balance pair, its
     last two rows, which give the affine hull.  A nonbipartite graph keeps
-    every bound row (their flags need ranks) and the odd-set rows the
-    criterion flags (`_odd_set_facets`).  Every other row is implied."""
+    every bound row and the odd-set rows the criterion flags
+    (`_odd_set_facets`).  Every other row is implied."""
     if bipartition(g) is not None:
         system = inequality_system(g)
         keep = system.facet.copy()

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, schemas, and byte-for-byte determinism."""
 
+import hashlib
 import json
 import os
 from argparse import Namespace
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 from pmsp.budgets import ENUMERATION_LIMIT
-from pmsp import cli
+from pmsp import cli, polytope
 from pmsp.cli import main, read_graph
 from pmsp.graph import Graph
 from pmsp.polytope import inequality_system
@@ -334,6 +335,70 @@ class TestDeterminism:
         a = run_cli(capsys, "sweep", "--max-n", "5", "--family", "pseudotree")
         b = run_cli(capsys, "sweep", "--max-n", "5", "--family", "pseudotree")
         assert a == b
+
+
+class TestFacetsVerb:
+    """`facets` prints flags read off the graph: it enumerates no point,
+    and its bytes are pinned on a triangle with a pendant vertex
+    (nonbipartite) and a 4-cycle with one (bipartite)."""
+
+    TRIANGLE_TAIL = "1 2;2 3;1 3;3 4"
+    C4_TAIL = "1 2;2 3;3 4;1 4;4 5"
+    TEXT = {
+        TRIANGLE_TAIL: """\
+NonNeg(1): [-1 0 0 0] <= 0 (valid)
+NonNeg(2): [0 -1 0 0] <= 0 (valid)
+NonNeg(3): [0 0 -1 0] <= 0 (valid)
+NonNeg(4): [0 0 0 -1] <= 0 (facet)
+UpperOne(1): [1 0 0 0] <= 1 (valid)
+UpperOne(2): [0 1 0 0] <= 1 (valid)
+UpperOne(3): [0 0 1 0] <= 1 (facet)
+UpperOne(4): [0 0 0 1] <= 1 (valid)
+OddSet(1): [1 -1 -1 0] <= 0 (valid)
+OddSet(2): [-1 1 -1 0] <= 0 (valid)
+OddSet(3): [-1 -1 1 -1] <= 0 (facet)
+OddSet(1,2,3): [1 1 1 -1] <= 2 (facet)
+OddSet(4): [0 0 -1 1] <= 0 (valid)
+OddSet(1,4): [1 -1 -1 1] <= 0 (facet)
+OddSet(2,4): [-1 1 -1 1] <= 0 (facet)
+""",
+        C4_TAIL: """\
+NonNeg(1): [-1 0 0 0 0] <= 0 (facet)
+NonNeg(2): [0 -1 0 0 0] <= 0 (facet)
+NonNeg(3): [0 0 -1 0 0] <= 0 (facet)
+NonNeg(4): [0 0 0 -1 0] <= 0 (valid)
+NonNeg(5): [0 0 0 0 -1] <= 0 (facet)
+UpperOne(1): [1 0 0 0 0] <= 1 (facet)
+UpperOne(2): [0 1 0 0 0] <= 1 (facet)
+UpperOne(3): [0 0 1 0 0] <= 1 (facet)
+UpperOne(4): [0 0 0 1 0] <= 1 (facet)
+UpperOne(5): [0 0 0 0 1] <= 1 (valid)
+BipartiteCut(1): [1 -1 0 -1 0] <= 0 (valid)
+BipartiteCut(3): [0 -1 1 -1 0] <= 0 (valid)
+BipartiteCut(5): [0 0 0 -1 1] <= 0 (facet)
+BipartiteCut(1,3): [1 -1 1 -1 0] <= 0 (facet)
+BipartiteCut(1,5): [1 -1 0 -1 1] <= 0 (facet)
+BipartiteCut(3,5): [0 -1 1 -1 1] <= 0 (facet)
+Balance(upper): [1 -1 1 -1 1] <= 0 (valid)
+Balance(lower): [-1 1 -1 1 -1] <= 0 (valid)
+""",
+    }
+    JSON_SHA256 = {
+        TRIANGLE_TAIL: "91285c050352c06db9eb679a68efd8e85c442c9680fa9b77f7d16c16db5803bc",
+        C4_TAIL: "8e4396adf8c4a77a985dedc20349c8652e61dd3dad1b22c0b6cfb07158ad71a1",
+    }
+
+    @pytest.mark.parametrize("edges", [TRIANGLE_TAIL, C4_TAIL])
+    def test_enumerates_no_point(self, capsys, monkeypatch, edges):
+        def refuse(*args):
+            raise AssertionError("a point set was enumerated")
+
+        monkeypatch.setattr(polytope, "lattice_points", refuse)
+        code, out, err = run_cli(capsys, "facets", "--format", "text", "--input", edges)
+        assert (code, out, err) == (0, self.TEXT[edges], "")
+        code, out, err = run_cli(capsys, "facets", "--input", edges)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.JSON_SHA256[edges]
 
 
 class TestInputForms:

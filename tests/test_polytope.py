@@ -432,56 +432,60 @@ class TestJsonText:
             assert _member_sources("Cut", np.arange(1 << n), n) == expected, n
 
 
-class TestNonnegativityFlags:
-    """A nonbipartite graph's row -x_v <= 0 is a facet exactly when every
-    component of G - v is nonbipartite: the system reads that off the
-    subset tables, and the flags equal the ones `facet_scan` ranks."""
+class TestBoundFlags:
+    """The bound rows -x_v <= 0 and x_v <= 1 are flagged by one rule read
+    off the graph (`_bound_facets`): the flags equal the ones `facet_scan`
+    ranks, and building a system ranks nothing and enumerates no point."""
 
     @staticmethod
-    def _seeded(count: int) -> list[Graph]:
-        """`count` seeded connected nonbipartite G(n, 2n), n = 10..16."""
+    def _seeded(count: int, bipartite: bool = False) -> list[Graph]:
+        """`count` seeded connected G(n, 2n), n = 10..16, nonbipartite, or
+        bipartite with n - 1 + n // 4 edges (a bipartite G(n, 2n) is rarely
+        connected)."""
         rng = random.Random(23)
         sizes = [rng.randint(10, 16) for _ in range(count)]
-        return [_seeded_nonbipartite(rng, n, 2 * n) for n in sizes]
+        if not bipartite:
+            return [_seeded_nonbipartite(rng, n, 2 * n) for n in sizes]
 
-    def test_match_the_rank_flags(self, connected_7, pseudotrees_9):
-        graphs = [g for g in connected_7 + pseudotrees_9 if bipartition(g) is None]
-        checked = facets = 0
-        for g in graphs + self._seeded(100):
+        def accept(g):
+            return is_connected(g) and bipartition(g) is not None
+
+        return [_seeded_gnm(rng, n, n - 1 + n // 4, accept) for n in sizes]
+
+    def test_match_the_rank_flags(self, connected_7, bipartite_8, pseudotrees_9):
+        seeded = self._seeded(100) + self._seeded(40, bipartite=True)
+        checked = facets = bipartite = 0
+        for g in connected_7 + bipartite_8 + pseudotrees_9 + seeded:
             system = inequality_system(g)
-            n = g.n
-            matrix = lattice_points(g).matrix
-            ranked = [f for _, f in facet_scan(matrix, n, system.normals[:n], system.rhs[:n])]
-            assert system.facet[:n].tolist() == ranked, g.edges
-            assert system.sources[:n] == tuple(f"NonNeg({v})" for v in range(1, n + 1))
-            checked += n
+            bound = 2 * g.n
+            pts = lattice_points(g)
+            normals, rhs = system.normals[:bound], system.rhs[:bound]
+            ranked = [f for _, f in facet_scan(pts.matrix, pts.lattice.rank, normals, rhs)]
+            assert system.facet[:bound].tolist() == ranked, g.edges
+            names = [f"{name}({v})" for name in ("NonNeg", "UpperOne") for v in g.vertices()]
+            assert system.sources[:bound] == tuple(names)
+            checked += bound
             facets += sum(ranked)
-        assert checked > 9000
+            bipartite += bound * (bipartition(g) is not None)
+        assert checked > 25000 and 0 < bipartite < checked
         assert 0 < facets < checked
 
-    def test_system_ranks_only_the_upper_rows(self, monkeypatch):
-        """The build scans the n rows x_v <= 1 and no other: every point
-        set `affine_rank` sees lies in a face x_v = 1."""
-        scanned, ranked = [], []
+    def test_system_ranks_nothing(self, monkeypatch):
+        """Neither route of the build calls `facet_scan`, `affine_rank`,
+        `rank_mod_p` or `lattice_points`."""
+        def refuse(*args):
+            raise AssertionError("a rank was computed or a point enumerated")
 
-        def scanning(matrix, dim, normals, rhs):
-            scanned.append(normals.tolist())
-            return facet_scan(matrix, dim, normals, rhs)
-
-        def ranking(stack, stop):
-            ranked.append(stack)
-            return affine_rank(stack, stop)
-
-        monkeypatch.setattr(polytope, "facet_scan", scanning)
-        monkeypatch.setattr(polytope, "affine_rank", ranking)
+        for name in ("facet_scan", "affine_rank", "lattice_points"):
+            monkeypatch.setattr(polytope, name, refuse)
+        monkeypatch.setattr(intlattice, "rank_mod_p", refuse)
         triangle_with_tail = Graph(6, ((1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6)))
-        for g in [complete_graph(6), cycle_graph(7), triangle_with_tail, *self._seeded(3)]:
-            scanned.clear()
-            inequality_system(g)
-            assert scanned == [np.eye(g.n, dtype=np.int64).tolist()], g.edges
-        assert ranked
-        for stack in ranked:
-            assert (stack == 1).all(axis=1).any(axis=1).all()
+        graphs = [complete_graph(6), cycle_graph(7), triangle_with_tail, *self._seeded(3),
+                  cycle_graph(6), path_graph(5), complete_bipartite_graph(2, 3),
+                  *self._seeded(3, bipartite=True)]
+        for g in graphs:
+            assert len(inequality_system(g)) > 2 * g.n, g.edges
+        assert {bipartition(g) is None for g in graphs} == {True, False}
 
 
 class TestNormalization:
